@@ -22,7 +22,7 @@ smaller token sequence.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 from .linearize import (
@@ -65,13 +65,19 @@ _TRIE_PHASES = (Phase.IN_SUBJECT, Phase.IN_RELATION, Phase.IN_OBJECT)
 
 @dataclass(frozen=True)
 class GenState:
+    """Decoder position: the phase, and inside a label the trie node reached.
+
+    ``node`` is a node number of the phase's trie (0, the root, on entering
+    a label); outside the label phases it is always 0.
+    """
+
     phase: Phase = Phase.START
-    trie_prefix: tuple[int, ...] = ()
+    node: int = 0
     triples_emitted: int = 0
 
     def __post_init__(self) -> None:
-        if self.trie_prefix and self.phase not in _TRIE_PHASES:
-            raise ValueError(f"phase {self.phase} cannot carry a trie prefix")
+        if self.node and self.phase not in _TRIE_PHASES:
+            raise ValueError(f"phase {self.phase} cannot carry a trie node")
 
 
 @dataclass(frozen=True)
@@ -99,9 +105,10 @@ class DecodingTries:
 class TokenScorer(Protocol):
     """Pluggable stand-in for a trained decoder.
 
-    ``score`` must be deterministic for a fixed prefix, return one finite
-    nonpositive log-probability per candidate, and must not let values
-    depend on which other candidates are in the batch.
+    ``score`` must be deterministic for a fixed prefix, return one
+    log-probability per candidate, each finite or ``-inf`` and at most 0,
+    and must not let values depend on which other candidates are in the
+    batch. :func:`beam_search` raises :class:`DecodeError` otherwise.
     """
 
     def score(self, prefix: Sequence[int], candidates: Sequence[int]) -> Sequence[float]:
@@ -127,80 +134,78 @@ class GenStateMachine:
         self._obj = tokenizer.special_id(OBJ_TOKEN)
         self._et = tokenizer.special_id(END_TRIPLE_TOKEN)
         self._triple_marker = tokenizer.special_id(TRIPLE_MARKER)
-
-    def _transition_token(self, phase: Phase) -> int:
-        if phase is Phase.IN_SUBJECT:
-            return self._rel
-        if phase is Phase.IN_RELATION:
-            return self._obj
-        return self._et
+        stop_or_sub = frozenset((self._eos, self._sub))
+        self._fixed_allowed = {
+            Phase.START: stop_or_sub,
+            Phase.AFTER_TRIPLE: stop_or_sub,
+            Phase.AWAIT_REL: frozenset((self._rel,)),
+            Phase.AWAIT_OBJ: frozenset((self._obj,)),
+            Phase.UNCONSTRAINED_PREFIX: frozenset(range(tokenizer.vocab_size)),
+            Phase.DONE: frozenset(),
+        }
+        # Per label phase: its trie, the symbol that closes a complete label,
+        # the phase that symbol leads to, and the phase taken when a label
+        # ends with no longer alternative (None: stay, so that only the
+        # closing symbol is allowed; no await state exists before <et>).
+        self._labels = {
+            phase: (tries.for_phase(phase), close, after_close, after_last)
+            for phase, close, after_close, after_last in (
+                (Phase.IN_SUBJECT, self._rel, Phase.IN_RELATION, Phase.AWAIT_REL),
+                (Phase.IN_RELATION, self._obj, Phase.IN_OBJECT, Phase.AWAIT_OBJ),
+                (Phase.IN_OBJECT, self._et, Phase.AFTER_TRIPLE, None),
+            )
+        }
 
     def allowed_tokens(self, state: GenState) -> frozenset[int]:
-        phase = state.phase
-        if phase is Phase.DONE:
-            return frozenset()
-        if phase in (Phase.START, Phase.AFTER_TRIPLE):
-            return frozenset((self._eos, self._sub))
-        if phase is Phase.AWAIT_REL:
-            return frozenset((self._rel,))
-        if phase is Phase.AWAIT_OBJ:
-            return frozenset((self._obj,))
-        if phase is Phase.UNCONSTRAINED_PREFIX:
-            return frozenset(range(self.tokenizer.vocab_size))
-        trie = self.tries.for_phase(phase)
-        tokens, complete = trie.allowed_continuations(state.trie_prefix)
-        allowed = set(tokens)
-        if complete:
-            allowed.add(self._transition_token(phase))
-        return frozenset(allowed)
+        label = self._labels.get(state.phase)
+        if label is None:
+            return self._fixed_allowed[state.phase]
+        trie, close, _, _ = label
+        allowed = frozenset(trie.children(state.node))
+        if trie.is_terminal(state.node):
+            return allowed | {close}
+        return allowed
 
     def advance(self, state: GenState, token: int) -> GenState:
         """Deterministic transition; a disallowed token is an error."""
-        if token not in self.allowed_tokens(state):
-            raise ConstraintViolation(
-                f"token {token} not allowed in phase {state.phase.value}"
-            )
         phase = state.phase
-        if phase in (Phase.START, Phase.AFTER_TRIPLE):
-            if token == self._eos:
-                return replace(state, phase=Phase.DONE, trie_prefix=())
-            return replace(state, phase=Phase.IN_SUBJECT, trie_prefix=())
+        emitted = state.triples_emitted
+        label = self._labels.get(phase)
+        if label is not None:
+            trie, close, after_close, after_last = label
+            if token == close and trie.is_terminal(state.node):
+                if after_close is Phase.AFTER_TRIPLE:
+                    emitted += 1
+                return GenState(after_close, 0, emitted)
+            node = trie.child(state.node, token)
+            if node < 0:
+                raise _violation(state, token)
+            if after_last is not None and not trie.has_children(node):
+                # The label just completed with no longer alternative; the
+                # only legal move is the closing symbol, so await it.
+                return GenState(after_last, 0, emitted)
+            return GenState(phase, node, emitted)
+        if token not in self._fixed_allowed[phase]:
+            raise _violation(state, token)
         if phase is Phase.AWAIT_REL:
-            return replace(state, phase=Phase.IN_RELATION, trie_prefix=())
+            return GenState(Phase.IN_RELATION, 0, emitted)
         if phase is Phase.AWAIT_OBJ:
-            return replace(state, phase=Phase.IN_OBJECT, trie_prefix=())
+            return GenState(Phase.IN_OBJECT, 0, emitted)
+        if token == self._eos:
+            return GenState(Phase.DONE, 0, emitted)
         if phase is Phase.UNCONSTRAINED_PREFIX:
-            if token == self._eos:
-                return replace(state, phase=Phase.DONE)
             if token == self._triple_marker:
-                return replace(state, phase=Phase.START)
+                return GenState(Phase.START, 0, emitted)
             return state
-        # Inside a label segment.
-        if token == self._transition_token(phase):
-            if phase is Phase.IN_SUBJECT:
-                return replace(state, phase=Phase.IN_RELATION, trie_prefix=())
-            if phase is Phase.IN_RELATION:
-                return replace(state, phase=Phase.IN_OBJECT, trie_prefix=())
-            return replace(
-                state,
-                phase=Phase.AFTER_TRIPLE,
-                trie_prefix=(),
-                triples_emitted=state.triples_emitted + 1,
-            )
-        prefix = state.trie_prefix + (token,)
-        trie = self.tries.for_phase(phase)
-        tokens, complete = trie.allowed_continuations(prefix)
-        if not tokens:
-            # The label just completed with no longer alternative; the only
-            # legal move is the phase transition, so take the await state.
-            if phase is Phase.IN_SUBJECT:
-                return replace(state, phase=Phase.AWAIT_REL, trie_prefix=())
-            if phase is Phase.IN_RELATION:
-                return replace(state, phase=Phase.AWAIT_OBJ, trie_prefix=())
-            # No await state exists before <et>; stay put, the continuation
-            # set is empty so only <et> will be offered.
-            return replace(state, trie_prefix=prefix)
-        return replace(state, trie_prefix=prefix)
+        return GenState(Phase.IN_SUBJECT, 0, emitted)
+
+
+def _violation(state: GenState, token: int) -> ConstraintViolation:
+    return ConstraintViolation(f"token {token} not allowed in phase {state.phase.value}")
+
+
+def _rank(hyp: Hypothesis) -> tuple[float, tuple[int, ...]]:
+    return (-hyp.score, hyp.tokens)
 
 
 _MODES = ("unconstrained", "constrained", "partial")
@@ -220,6 +225,10 @@ def beam_search(
     Returns up to ``beam_size`` hypotheses ranked by cumulative
     log-probability. Hypotheses end with EOS (which contributes its own
     log-probability) or are cut at ``max_len`` tokens.
+
+    A scorer that returns the wrong number of log-probabilities, a NaN or
+    a positive value breaks the :class:`TokenScorer` contract and raises
+    :class:`DecodeError`.
     """
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
@@ -250,7 +259,16 @@ def beam_search(
             if not allowed:
                 continue
             logprobs = scorer.score(hyp.tokens, allowed)
+            if len(logprobs) != len(allowed):
+                raise DecodeError(
+                    f"scorer returned {len(logprobs)} log-probs for {len(allowed)} candidates"
+                )
             for token, logprob in zip(allowed, logprobs):
+                if not logprob <= 0.0:
+                    raise DecodeError(
+                        f"scorer returned log-prob {logprob!r} for token {token}; "
+                        "log-probs must be finite or -inf, and <= 0"
+                    )
                 if machine is not None:
                     state = machine.advance(hyp.state, token)
                 elif token == eos:
@@ -265,7 +283,7 @@ def beam_search(
             # dead-end-free tries, so surface it rather than return junk.
             live = []
             break
-        candidates.sort(key=lambda h: (-h.score, h.tokens))
+        candidates.sort(key=_rank)
         live = []
         for hyp in candidates:
             if hyp.state.phase is Phase.DONE:
@@ -277,5 +295,5 @@ def beam_search(
     pool = finished + live
     if not pool:
         raise DecodeFailure("constraints left no completable hypothesis")
-    pool.sort(key=lambda h: (-h.score, h.tokens))
+    pool.sort(key=_rank)
     return pool[:beam_size]

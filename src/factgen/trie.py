@@ -6,18 +6,30 @@ inside a label, which tokens may come next, and is the current prefix
 itself a complete label? Tries are immutable after construction and safe
 for concurrent readers.
 
+Nodes live in flat arrays. They are numbered in preorder, the root is node
+0, and node ``n`` owns the child slots ``first[n]:first[n + 1]``, which hold
+its children's token ids in ascending order and their node numbers. The
+decoder keeps a node number as its position, so one step is one child
+lookup.
+
 A binary cache format is provided so large vocabularies can be built once:
 magic ``TRI1``, then the node count, then the nodes in preorder as
-(token-id varint, child-count varint, terminal byte).
+(token-id varint, child-count varint, terminal byte). Loading reads the
+nodes in one loop, so label length is not limited by the call stack.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 from .tokenizers import Tokenizer
 
 TRIE_MAGIC = b"TRI1"
+
+_ROOT = 0
 
 
 class TrieError(Exception):
@@ -39,61 +51,72 @@ class Continuations(NamedTuple):
     complete: bool
 
 
-class _Node:
-    __slots__ = ("children", "terminal")
-
-    def __init__(self) -> None:
-        self.children: dict[int, _Node] = {}
-        self.terminal = False
-
-
 class ConstraintTrie:
-    def __init__(self) -> None:
-        self._root = _Node()
-        self._node_count = 1
-        self._label_count = 0
+    """A trie in flat arrays; build it with :func:`build_trie` or load it."""
 
-    def _insert(self, ids: Sequence[int]) -> None:
-        node = self._root
+    __slots__ = ("_first", "_tokens", "_child", "_terminal", "_label_count")
+
+    def __init__(self, token_of: array, parent_of: array, child_counts: array,
+                 terminal: bytearray) -> None:
+        """Lay out child slots from per-node arrays in preorder.
+
+        ``token_of[n]`` and ``parent_of[n]`` describe the edge into node
+        ``n`` (ignored for the root); siblings must appear in ascending
+        token order.
+        """
+        # Stable sort by parent: slots grouped by parent in node order, and
+        # within a parent in preorder, which is ascending token order.
+        slots = sorted(range(1, len(terminal)), key=parent_of.__getitem__)
+        self._first = array("I", accumulate(child_counts, initial=0))
+        self._tokens = array("I", map(token_of.__getitem__, slots))
+        self._child = array("I", slots)
+        self._terminal = terminal
+        self._label_count = terminal.count(1)
+
+    # -- node-level access, used by the decoder --------------------------
+
+    def child(self, node: int, token_id: int) -> int:
+        """The child of ``node`` along ``token_id``, or -1 if there is none."""
+        hi = self._first[node + 1]
+        slot = bisect_left(self._tokens, token_id, self._first[node], hi)
+        if slot < hi and self._tokens[slot] == token_id:
+            return self._child[slot]
+        return -1
+
+    def children(self, node: int) -> array:
+        """Token ids of ``node``'s children, ascending."""
+        return self._tokens[self._first[node]:self._first[node + 1]]
+
+    def has_children(self, node: int) -> bool:
+        return self._first[node + 1] > self._first[node]
+
+    def is_terminal(self, node: int) -> bool:
+        return self._terminal[node] == 1
+
+    def _walk(self, ids: Sequence[int]) -> int:
+        node = _ROOT
         for token_id in ids:
-            child = node.children.get(token_id)
-            if child is None:
-                child = _Node()
-                node.children[token_id] = child
-                self._node_count += 1
-            node = child
-        if not node.terminal:
-            node.terminal = True
-            self._label_count += 1
+            node = self.child(node, token_id)
+            if node < 0:
+                break
+        return node
 
-    def _sort_children(self) -> None:
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.children:
-                node.children = dict(sorted(node.children.items()))
-                stack.extend(node.children.values())
+    # -- prefix-level queries --------------------------------------------
 
     def allowed_continuations(self, prefix: Sequence[int]) -> Continuations:
         """Exact next-token set for the prefix; empty and False off-trie."""
-        node = self._root
-        for token_id in prefix:
-            node = node.children.get(token_id)
-            if node is None:
-                return Continuations((), False)
-        return Continuations(tuple(node.children), node.terminal)
+        node = self._walk(prefix)
+        if node < 0:
+            return Continuations((), False)
+        return Continuations(tuple(self.children(node)), self.is_terminal(node))
 
     def accepts(self, ids: Sequence[int]) -> bool:
-        node = self._root
-        for token_id in ids:
-            node = node.children.get(token_id)
-            if node is None:
-                return False
-        return node.terminal
+        node = self._walk(ids)
+        return node >= 0 and self.is_terminal(node)
 
     @property
     def node_count(self) -> int:
-        return self._node_count
+        return len(self._terminal)
 
     @property
     def label_count(self) -> int:
@@ -102,56 +125,70 @@ class ConstraintTrie:
     # -- binary cache --------------------------------------------------
 
     def to_bytes(self) -> bytes:
+        token_of = [0] * self.node_count
+        for slot, node in enumerate(self._child):
+            token_of[node] = self._tokens[slot]
+        first = self._first
         out = bytearray(TRIE_MAGIC)
-        _write_varint(out, self._node_count)
-        stack: list[tuple[int, _Node]] = [(0, self._root)]
-        while stack:
-            token_id, node = stack.pop()
-            _write_varint(out, token_id)
-            _write_varint(out, len(node.children))
-            out.append(1 if node.terminal else 0)
-            # Reversed so preorder visits children in ascending token order.
-            for child_id in sorted(node.children, reverse=True):
-                stack.append((child_id, node.children[child_id]))
+        _write_varint(out, self.node_count)
+        for node, terminal in enumerate(self._terminal):
+            _write_varint(out, token_of[node])
+            _write_varint(out, first[node + 1] - first[node])
+            out.append(terminal)
         return bytes(out)
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "ConstraintTrie":
         if blob[: len(TRIE_MAGIC)] != TRIE_MAGIC:
             raise TrieCacheError("bad magic bytes")
-        pos = len(TRIE_MAGIC)
-        declared, pos = _read_varint(blob, pos)
-        trie = cls()
-        trie._node_count = 0
-        trie._label_count = 0
-
-        def read_node(node: _Node) -> None:
-            nonlocal pos
-            children, pos_local = _read_varint(blob, pos)
-            pos = pos_local
-            if pos >= len(blob):
-                raise TrieCacheError("truncated node")
-            terminal = blob[pos]
-            pos += 1
-            node.terminal = terminal == 1
-            if node.terminal:
-                trie._label_count += 1
-            trie._node_count += 1
-            for _ in range(children):
+        declared, pos = _read_varint(blob, len(TRIE_MAGIC))
+        token_of = array("I")
+        parent_of = array("I")
+        child_counts = array("I")
+        terminal = bytearray()
+        # One entry per node whose children are still being read:
+        # [node, children left, token id of the last child read].
+        open_nodes: list[list[int]] = []
+        try:
+            while True:
                 token_id, pos = _read_varint(blob, pos)
-                child = _Node()
-                node.children[token_id] = child
-                read_node(child)
-
-        _, pos = _read_varint(blob, pos)  # root's dummy token id
-        read_node(trie._root)
-        if trie._node_count != declared:
+                children, pos = _read_varint(blob, pos)
+                if pos >= len(blob):
+                    raise TrieCacheError("truncated node")
+                flag = blob[pos]
+                pos += 1
+                if flag > 1:
+                    raise TrieCacheError(f"terminal byte {flag} is neither 0 nor 1")
+                node = len(terminal)
+                parent = _ROOT
+                if open_nodes:
+                    entry = open_nodes[-1]
+                    parent = entry[0]
+                    if token_id <= entry[2]:
+                        raise TrieCacheError(
+                            f"children of node {parent} are not in ascending token order"
+                        )
+                    entry[2] = token_id
+                    entry[1] -= 1
+                    if not entry[1]:
+                        open_nodes.pop()
+                token_of.append(token_id)
+                parent_of.append(parent)
+                child_counts.append(children)
+                terminal.append(flag)
+                if children:
+                    open_nodes.append([node, children, -1])
+                elif not open_nodes:
+                    break
+        except OverflowError:
+            raise TrieCacheError("token id or child count out of range") from None
+        if len(terminal) != declared:
             raise TrieCacheError(
-                f"node count mismatch: header says {declared}, read {trie._node_count}"
+                f"node count mismatch: header says {declared}, read {len(terminal)}"
             )
         if pos != len(blob):
             raise TrieCacheError(f"{len(blob) - pos} trailing bytes")
-        return trie
+        return cls(token_of, parent_of, child_counts, terminal)
 
     def save(self, path: str) -> None:
         with open(path, "wb") as handle:
@@ -169,16 +206,40 @@ def build_trie(labels: Iterable[str], tokenizer: Tokenizer) -> ConstraintTrie:
     Duplicate labels are harmless; an empty label is an error because the
     empty sequence must never be a completion.
     """
-    trie = ConstraintTrie()
+    encodings = set()
     for label in labels:
         if not label:
             raise TrieBuildError("empty label")
-        ids = tokenizer.encode(label)
+        ids = tuple(tokenizer.encode(label))
         if not ids:
             raise TrieBuildError(f"label {label!r} encodes to no tokens")
-        trie._insert(ids)
-    trie._sort_children()
-    return trie
+        encodings.add(ids)
+    token_of = array("I", [0])
+    parent_of = array("I", [_ROOT])
+    child_counts = array("I", [0])
+    terminal = bytearray(1)
+    # In sorted order each encoding shares a prefix with the previous one
+    # and adds its remaining tokens as new nodes, which is preorder.
+    path = [_ROOT]
+    previous: tuple[int, ...] = ()
+    for ids in sorted(encodings):
+        shared = 0
+        limit = min(len(ids), len(previous))
+        while shared < limit and ids[shared] == previous[shared]:
+            shared += 1
+        del path[shared + 1:]
+        node = path[-1]
+        for token_id in ids[shared:]:
+            child_counts[node] += 1
+            token_of.append(token_id)
+            parent_of.append(node)
+            child_counts.append(0)
+            terminal.append(0)
+            node = len(terminal) - 1
+            path.append(node)
+        terminal[node] = 1
+        previous = ids
+    return ConstraintTrie(token_of, parent_of, child_counts, terminal)
 
 
 def year_labels(first: int = 1, last: int = 2100) -> list[str]:

@@ -272,3 +272,32 @@ def test_decode_with_exec_scorer(kb_paths, tmp_path):
     (row,) = read_jsonl(out)
     # The stub prefers lower token ids, so EOS (256) beats <sub> (257).
     assert row == {"id": "x", "output": ""}
+
+
+def test_decode_rejects_nan_from_exec_scorer(kb_paths, tmp_path):
+    nan_scorer = tmp_path / "nan_scorer.py"
+    nan_scorer.write_text(
+        "import sys, json\n"
+        "for line in sys.stdin:\n"
+        "    n = len(json.loads(line)['candidates'])\n"
+        "    sys.stdout.write(json.dumps({'logprobs': [float('nan')] * n}) + '\\n')\n"
+        "    sys.stdout.flush()\n",
+        encoding="utf-8",
+    )
+    data = tmp_path / "instances.jsonl"
+    data.write_text(json.dumps({"id": "x", "input": "text", "target": ""}) + "\n")
+    proc = subprocess.run(
+        [
+            *CLI, "decode", "--input", str(data), *kb_flags(kb_paths),
+            "--mode", "constrained",
+            "--scorer", f"exec:{sys.executable} {nan_scorer}",
+            "--out", str(tmp_path / "pred.jsonl"),
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    error = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert error["stage"] == "decode"
+    assert error["error"].startswith("DecodeError: ")
+    assert "nan" in error["error"]

@@ -7,6 +7,7 @@ import pytest
 
 from factgen.decode import (
     ConstraintViolation,
+    DecodeError,
     DecodingTries,
     GenState,
     GenStateMachine,
@@ -127,8 +128,15 @@ def test_disallowed_token_names_phase_and_token(machine, tok):
 
 
 def test_prefix_invariant_is_enforced():
-    with pytest.raises(ValueError):
-        GenState(phase=Phase.START, trie_prefix=(1, 2))
+    # Only the label phases carry a trie node; 0 is the neutral value.
+    label_phases = (Phase.IN_SUBJECT, Phase.IN_RELATION, Phase.IN_OBJECT)
+    for phase in Phase:
+        assert GenState(phase=phase).node == 0
+        if phase in label_phases:
+            assert GenState(phase=phase, node=5).node == 5
+        else:
+            with pytest.raises(ValueError):
+                GenState(phase=phase, node=5)
 
 
 def test_unconstrained_prefix_allows_everything(machine, tok):
@@ -372,3 +380,41 @@ def test_beam_validates_arguments(tok, tries):
         beam_search(scorer, tok, mode="nonsense", tries=tries)
     with pytest.raises(ValueError):
         beam_search(scorer, tok, mode="constrained", tries=None)
+
+
+# -- the scorer contract ---------------------------------------------------------
+
+
+class FixedScorer:
+    """Scores every candidate with one value, optionally dropping the last."""
+
+    def __init__(self, value, short=False):
+        self.value = value
+        self.short = short
+
+    def score(self, prefix, candidates):
+        out = [self.value] * len(candidates)
+        return out[:-1] if self.short else out
+
+
+@pytest.mark.parametrize("mode", ["unconstrained", "constrained", "partial"])
+@pytest.mark.parametrize(
+    "scorer, message",
+    [
+        (FixedScorer(float("nan")), "log-prob nan "),
+        (FixedScorer(0.5), "log-prob 0.5 "),
+        (FixedScorer(float("inf")), "log-prob inf "),
+        (FixedScorer(-1.0, short=True), r"returned \d+ log-probs for \d+ candidates"),
+    ],
+)
+def test_scorer_contract_violations_raise(tries, tok, mode, scorer, message):
+    with pytest.raises(DecodeError, match=message):
+        beam_search(scorer, tok, mode=mode, tries=tries, beam_size=2, max_len=8)
+
+
+def test_minus_infinity_is_a_valid_logprob(tries, tok):
+    hyps = beam_search(
+        FixedScorer(float("-inf")), tok, mode="constrained", tries=tries,
+        beam_size=2, max_len=8,
+    )
+    assert hyps[0].score == float("-inf")

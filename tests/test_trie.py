@@ -183,3 +183,57 @@ def test_cache_rejects_trailing_garbage(tok):
     blob = build_trie(["abc"], tok).to_bytes()
     with pytest.raises(TrieCacheError):
         ConstraintTrie.from_bytes(blob + b"\x00")
+
+
+def test_cache_rejects_node_count_mismatch(tok):
+    blob = bytearray(build_trie(["abc", "abd"], tok).to_bytes())
+    assert blob[4] == 5  # one-byte varint header: root, a, b, c, d
+    blob[4] = 6
+    with pytest.raises(TrieCacheError, match="node count mismatch"):
+        ConstraintTrie.from_bytes(bytes(blob))
+
+
+def test_cache_rejects_terminal_byte_other_than_0_or_1(tok):
+    blob = bytearray(build_trie(["a"], tok).to_bytes())
+    assert blob[-1] == 1  # the leaf "a" is the last node
+    blob[-1] = 2
+    with pytest.raises(TrieCacheError, match="terminal byte"):
+        ConstraintTrie.from_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("second", [b"\x61", b"\x62"])
+def test_cache_rejects_children_out_of_order(second):
+    # Root with two leaf children: "b" then "a" (descending) or "b" twice.
+    blob = b"TRI1\x03" + b"\x00\x02\x00" + b"\x62\x00\x01" + second + b"\x00\x01"
+    with pytest.raises(TrieCacheError, match="ascending"):
+        ConstraintTrie.from_bytes(blob)
+
+
+def test_cache_loads_very_long_labels(tok):
+    # Each token is one level of nesting; loading must not recurse per level.
+    labels = ["x" * 1500, "y" * 5000, "y" * 4999 + "z"]
+    trie = build_trie(labels, tok)
+    loaded = ConstraintTrie.from_bytes(trie.to_bytes())
+    assert loaded.to_bytes() == trie.to_bytes()
+    assert loaded.node_count == trie.node_count == 1 + 1500 + 5000 + 1
+    for label in labels:
+        assert loaded.accepts(tok.encode(label))
+    assert not loaded.accepts(tok.encode("y" * 4999))
+    assert loaded.allowed_continuations(tok.encode("y" * 4999)) == ((ord("y"), ord("z")), False)
+
+
+def test_node_level_walk_matches_prefix_queries(tok):
+    rng = random.Random(53)
+    labels = random_labels(rng, 120)
+    trie = build_trie(labels, tok)
+    for label in labels:
+        node = 0
+        for cut, token_id in enumerate(tok.encode(label)):
+            tokens, complete = trie.allowed_continuations(tok.encode(label[:cut]))
+            assert tuple(trie.children(node)) == tokens
+            assert trie.is_terminal(node) == complete
+            assert trie.has_children(node) == bool(tokens)
+            node = trie.child(node, token_id)
+            assert node > 0
+        assert trie.is_terminal(node)
+        assert trie.child(node, ord("~")) == -1

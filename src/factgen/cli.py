@@ -74,8 +74,8 @@ DECODE_MODES = ("unconstrained", "constrained", "partial")
 class RunManifest:
     """Deterministic record of one stage run.
 
-    Durations are kept on the object for logging but never serialized:
-    manifests must be byte-identical across reruns with the same inputs.
+    Nothing volatile goes in: manifests must be byte-identical across
+    reruns with the same inputs (``main`` logs the stage duration).
     """
 
     stage: str
@@ -84,7 +84,6 @@ class RunManifest:
     outputs: list[str]
     seed: int | None = None
     record_counts: dict[str, int] = field(default_factory=dict)
-    duration_s: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -151,7 +150,6 @@ def _make_lm_scorer(spec: str, targets: Sequence[Sequence[int]], tokenizer: Byte
 
 
 def cmd_build_kb(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
     kb = _load_kb_from_args(args)
     stats = {
         "entities": kb.num_entities,
@@ -169,13 +167,11 @@ def cmd_build_kb(args: argparse.Namespace) -> int:
         outputs=[args.out],
         record_counts=stats,
     )
-    manifest.duration_s = time.perf_counter() - started
     manifest.write(_manifest_path(args.out))
     return 0
 
 
 def cmd_build_trie(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
     kb = _load_kb_from_args(args)
     tokenizer = ByteTokenizer()
     outputs = []
@@ -205,13 +201,11 @@ def cmd_build_trie(args: argparse.Namespace) -> int:
         outputs=outputs,
         record_counts=counts,
     )
-    manifest.duration_s = time.perf_counter() - started
     manifest.write(_manifest_path(outputs[0]))
     return 0
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
     kb = _load_kb_from_args(args)
     sentences = ingest_sentences(load_input_sentences(args.input), args.min_words)
     rows = [dataset_record(s, extract_ds_triples(s, kb)) for s in sentences]
@@ -223,13 +217,11 @@ def cmd_extract(args: argparse.Namespace) -> int:
         outputs=[args.out],
         record_counts={"sentences": count},
     )
-    manifest.duration_s = time.perf_counter() - started
     manifest.write(_manifest_path(args.out))
     return 0
 
 
 def cmd_filter(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
     kb = _load_kb_from_args(args)
     templates = (
         HypothesisTemplates.load(args.templates)
@@ -257,13 +249,11 @@ def cmd_filter(args: argparse.Namespace) -> int:
         outputs=[args.out],
         record_counts={"sentences": count, "kept_triples": kept_total},
     )
-    manifest.duration_s = time.perf_counter() - started
     manifest.write(_manifest_path(args.out))
     return 0
 
 
 def cmd_negatives(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
     kb = _load_kb_from_args(args)
     dataset = load_dataset(args.input)
     positives = [(s, t) for s, t in dataset if t]
@@ -289,13 +279,11 @@ def cmd_negatives(args: argparse.Namespace) -> int:
             "negatives": len(negatives),
         },
     )
-    manifest.duration_s = time.perf_counter() - started
     manifest.write(_manifest_path(args.out))
     return 0
 
 
 def cmd_split(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
     ratios = _parse_split(args.split)
     rows = [row for _, row in read_jsonl(args.input)]
     train, val, test = split_dataset(rows, ratios, args.seed)
@@ -314,13 +302,11 @@ def cmd_split(args: argparse.Namespace) -> int:
         seed=args.seed,
         record_counts={"train": len(train), "validation": len(val), "test": len(test)},
     )
-    manifest.duration_s = time.perf_counter() - started
     manifest.write(str(out_dir / "split.manifest.json"))
     return 0
 
 
 def cmd_targets(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
     kb = _load_kb_from_args(args)
     rows = []
     for sentence, triples in load_dataset(args.input):
@@ -358,7 +344,6 @@ def cmd_targets(args: argparse.Namespace) -> int:
         outputs=[args.out],
         record_counts={"instances": count},
     )
-    manifest.duration_s = time.perf_counter() - started
     manifest.write(_manifest_path(args.out))
     return 0
 
@@ -380,7 +365,6 @@ def _load_tries(args: argparse.Namespace, kb: KbStore, tokenizer: ByteTokenizer)
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
     kb = _load_kb_from_args(args)
     tokenizer = ByteTokenizer()
     instances = [row for _, row in read_jsonl(args.input)]
@@ -422,13 +406,11 @@ def cmd_decode(args: argparse.Namespace) -> int:
         outputs=[args.out],
         record_counts={"predictions": count},
     )
-    manifest.duration_s = time.perf_counter() - started
     manifest.write(_manifest_path(args.out))
     return 0
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
     kb = _load_kb_from_args(args)
     predictions = {
         instance_id: parse_linearized(output)
@@ -450,7 +432,6 @@ def cmd_score(args: argparse.Namespace) -> int:
             outputs=[args.out],
             record_counts={"instances": len(gold)},
         )
-        manifest.duration_s = time.perf_counter() - started
         manifest.write(_manifest_path(args.out))
     return 0
 

@@ -22,6 +22,8 @@ smaller token sequence.
 from __future__ import annotations
 
 import enum
+import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -58,6 +60,11 @@ class Phase(enum.Enum):
     AFTER_TRIPLE = "after_triple"
     UNCONSTRAINED_PREFIX = "unconstrained_prefix"
     DONE = "done"
+
+    def __init__(self, value: str) -> None:
+        # Dense index into GenStateMachine's per-phase tables: a dict keyed
+        # by phase would call Enum.__hash__, Python code, on every step.
+        self.ordinal = len(type(self).__members__)
 
 
 _TRIE_PHASES = (Phase.IN_SUBJECT, Phase.IN_RELATION, Phase.IN_OBJECT)
@@ -115,6 +122,26 @@ class TokenScorer(Protocol):
         ...
 
 
+class AllowedTokens(tuple):
+    """Allowed token ids in ascending order; equal to the set of the same ids.
+
+    Scorers receive the ids in this order, so external requests do not
+    depend on set iteration order; callers may still compare with a set.
+    """
+
+    __slots__ = ()
+    __hash__ = None  # type: ignore[assignment]  # equal to sets, not hashable
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (set, frozenset)):
+            return len(self) == len(other) and other.issuperset(self)
+        return tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+
 @dataclass(frozen=True)
 class Hypothesis:
     tokens: tuple[int, ...]
@@ -134,43 +161,58 @@ class GenStateMachine:
         self._obj = tokenizer.special_id(OBJ_TOKEN)
         self._et = tokenizer.special_id(END_TRIPLE_TOKEN)
         self._triple_marker = tokenizer.special_id(TRIPLE_MARKER)
-        stop_or_sub = frozenset((self._eos, self._sub))
-        self._fixed_allowed = {
-            Phase.START: stop_or_sub,
+        # Per fixed phase (indexed by ordinal, None for label phases): the
+        # allowed ids, and the moves out of it; any other allowed token
+        # keeps the phase.
+        done, start = Phase.DONE, Phase.START
+        stop_or_sub = (
+            AllowedTokens(sorted((self._eos, self._sub))),
+            {self._eos: done, self._sub: Phase.IN_SUBJECT},
+        )
+        fixed = {
+            start: stop_or_sub,
             Phase.AFTER_TRIPLE: stop_or_sub,
-            Phase.AWAIT_REL: frozenset((self._rel,)),
-            Phase.AWAIT_OBJ: frozenset((self._obj,)),
-            Phase.UNCONSTRAINED_PREFIX: frozenset(range(tokenizer.vocab_size)),
-            Phase.DONE: frozenset(),
+            Phase.AWAIT_REL: (AllowedTokens((self._rel,)), {self._rel: Phase.IN_RELATION}),
+            Phase.AWAIT_OBJ: (AllowedTokens((self._obj,)), {self._obj: Phase.IN_OBJECT}),
+            Phase.UNCONSTRAINED_PREFIX: (
+                AllowedTokens(range(tokenizer.vocab_size)),
+                {self._eos: done, self._triple_marker: start},
+            ),
+            done: (AllowedTokens(), {}),
         }
-        # Per label phase: its trie, the symbol that closes a complete label,
-        # the phase that symbol leads to, and the phase taken when a label
-        # ends with no longer alternative (None: stay, so that only the
-        # closing symbol is allowed; no await state exists before <et>).
-        self._labels = {
-            phase: (tries.for_phase(phase), close, after_close, after_last)
-            for phase, close, after_close, after_last in (
-                (Phase.IN_SUBJECT, self._rel, Phase.IN_RELATION, Phase.AWAIT_REL),
-                (Phase.IN_RELATION, self._obj, Phase.IN_OBJECT, Phase.AWAIT_OBJ),
-                (Phase.IN_OBJECT, self._et, Phase.AFTER_TRIPLE, None),
-            )
+        # Per label phase (None for the fixed phases): its trie, the symbol
+        # that closes a complete label, the phase that symbol leads to, and
+        # the phase taken when a label ends with no longer alternative
+        # (None: stay, so that only the closing symbol is allowed; no await
+        # state exists before <et>).
+        labels = {
+            Phase.IN_SUBJECT: (self._rel, Phase.IN_RELATION, Phase.AWAIT_REL),
+            Phase.IN_RELATION: (self._obj, Phase.IN_OBJECT, Phase.AWAIT_OBJ),
+            Phase.IN_OBJECT: (self._et, Phase.AFTER_TRIPLE, None),
         }
+        self._fixed = [fixed.get(phase) for phase in Phase]
+        self._labels = [
+            (tries.for_phase(phase), *labels[phase]) if phase in labels else None
+            for phase in Phase
+        ]
 
-    def allowed_tokens(self, state: GenState) -> frozenset[int]:
-        label = self._labels.get(state.phase)
+    def allowed_tokens(self, state: GenState) -> AllowedTokens:
+        label = self._labels[state.phase.ordinal]
         if label is None:
-            return self._fixed_allowed[state.phase]
+            return self._fixed[state.phase.ordinal][0]
         trie, close, _, _ = label
-        allowed = frozenset(trie.children(state.node))
+        ids = trie.children(state.node)  # a fresh array, ascending
         if trie.is_terminal(state.node):
-            return allowed | {close}
-        return allowed
+            at = bisect_left(ids, close)
+            if at == len(ids) or ids[at] != close:
+                ids.insert(at, close)
+        return AllowedTokens(ids)
 
     def advance(self, state: GenState, token: int) -> GenState:
         """Deterministic transition; a disallowed token is an error."""
         phase = state.phase
         emitted = state.triples_emitted
-        label = self._labels.get(phase)
+        label = self._labels[phase.ordinal]
         if label is not None:
             trie, close, after_close, after_last = label
             if token == close and trie.is_terminal(state.node):
@@ -185,19 +227,13 @@ class GenStateMachine:
                 # only legal move is the closing symbol, so await it.
                 return GenState(after_last, 0, emitted)
             return GenState(phase, node, emitted)
-        if token not in self._fixed_allowed[phase]:
+        allowed, moves = self._fixed[phase.ordinal]
+        after = moves.get(token)
+        if after is not None:
+            return GenState(after, 0, emitted)
+        if token not in allowed:
             raise _violation(state, token)
-        if phase is Phase.AWAIT_REL:
-            return GenState(Phase.IN_RELATION, 0, emitted)
-        if phase is Phase.AWAIT_OBJ:
-            return GenState(Phase.IN_OBJECT, 0, emitted)
-        if token == self._eos:
-            return GenState(Phase.DONE, 0, emitted)
-        if phase is Phase.UNCONSTRAINED_PREFIX:
-            if token == self._triple_marker:
-                return GenState(Phase.START, 0, emitted)
-            return state
-        return GenState(Phase.IN_SUBJECT, 0, emitted)
+        return state
 
 
 def _violation(state: GenState, token: int) -> ConstraintViolation:
@@ -209,6 +245,8 @@ def _rank(hyp: Hypothesis) -> tuple[float, tuple[int, ...]]:
 
 
 _MODES = ("unconstrained", "constrained", "partial")
+# Above this many candidates a heap selects the beam faster than a sort.
+_SORT_LIMIT = 100
 
 
 def beam_search(
@@ -246,16 +284,22 @@ def beam_search(
         initial_phase = Phase.UNCONSTRAINED_PREFIX
     eos = tokenizer.eos_id
     all_ids = range(tokenizer.vocab_size)
+    done = Phase.DONE
 
     live = [Hypothesis((), 0.0, GenState(phase=initial_phase))]
     finished: list[Hypothesis] = []
     for _ in range(max_len):
-        candidates: list[Hypothesis] = []
-        for hyp in live:
-            if machine is not None:
-                allowed = sorted(machine.allowed_tokens(hyp.state))
-            else:
-                allowed = all_ids
+        # Every allowed extension of every live hypothesis is scored, but a
+        # Hypothesis is built (and the machine advanced) only for finished
+        # ones and for the beam_size best of the rest, the only ones kept.
+        # The others stay (-score, parent tokens, token, parent index)
+        # tuples: all parents have one length, so these order exactly like
+        # _rank on the extended sequences, and distinct parents leave no tie.
+        candidates: list[tuple[float, tuple[int, ...], int, int]] = []
+        push = candidates.append
+        for index, hyp in enumerate(live):
+            state = hyp.state
+            allowed = machine.allowed_tokens(state) if machine is not None else all_ids
             if not allowed:
                 continue
             logprobs = scorer.score(hyp.tokens, allowed)
@@ -263,34 +307,36 @@ def beam_search(
                 raise DecodeError(
                     f"scorer returned {len(logprobs)} log-probs for {len(allowed)} candidates"
                 )
+            # EOS inside a label is a label token (a title may hold "</s>").
+            eos_finishes = state.phase not in _TRIE_PHASES
+            base, tokens = hyp.score, hyp.tokens
             for token, logprob in zip(allowed, logprobs):
                 if not logprob <= 0.0:
                     raise DecodeError(
                         f"scorer returned log-prob {logprob!r} for token {token}; "
                         "log-probs must be finite or -inf, and <= 0"
                     )
-                if machine is not None:
-                    state = machine.advance(hyp.state, token)
-                elif token == eos:
-                    state = GenState(phase=Phase.DONE)
+                if token == eos and eos_finishes:
+                    finished.append(Hypothesis(
+                        tokens + (token,), base + logprob,
+                        GenState(done, 0, state.triples_emitted),
+                    ))
                 else:
-                    state = hyp.state
-                candidates.append(
-                    Hypothesis(hyp.tokens + (token,), hyp.score + logprob, state)
-                )
-        if not candidates:
-            # Every live hypothesis is stuck mid-label; cannot happen with
-            # dead-end-free tries, so surface it rather than return junk.
-            live = []
-            break
-        candidates.sort(key=_rank)
+                    push((-(base + logprob), tokens, token, index))
+        if len(candidates) > _SORT_LIMIT:
+            best = heapq.nsmallest(beam_size, candidates)
+        else:
+            best = sorted(candidates)[:beam_size]
+        parents = live
         live = []
-        for hyp in candidates:
-            if hyp.state.phase is Phase.DONE:
-                finished.append(hyp)
-            elif len(live) < beam_size:
-                live.append(hyp)
+        for neg_score, tokens, token, index in best:
+            state = parents[index].state
+            if machine is not None:
+                state = machine.advance(state, token)
+            live.append(Hypothesis(tokens + (token,), -neg_score, state))
         if not live:
+            # Either every candidate finished, or every live hypothesis is
+            # stuck mid-label (impossible with dead-end-free tries).
             break
     pool = finished + live
     if not pool:

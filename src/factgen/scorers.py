@@ -159,6 +159,11 @@ class _TcpTransport(_LineTransport):
         self.sock.close()
 
 
+def _is_number(value: object) -> bool:
+    """A JSON number: int or float (NaN and infinities included), not bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 class ExternalScorerClient:
     """Client side of the external scorer protocol.
 
@@ -203,6 +208,10 @@ class ExternalScorerClient:
             raise ScorerProtocolError(
                 f"expected {len(candidates)} logprobs, got {logprobs!r}"
             )
+        for value in logprobs:
+            # NaN and positive values are beam_search's to reject (DecodeError).
+            if not _is_number(value):
+                raise ScorerProtocolError(f"lm response log-prob {value!r} is not a number")
         return [float(v) for v in logprobs]
 
     def nli_entail(self, premise: str, hypothesis: str) -> float:
@@ -211,7 +220,12 @@ class ExternalScorerClient:
         )
         if "entail" not in response:
             raise ScorerProtocolError(f"response lacks 'entail': {response!r}")
-        return float(response["entail"])
+        value = response["entail"]
+        if not (_is_number(value) and 0.0 <= value <= 1.0):
+            raise ScorerProtocolError(
+                f"nli response 'entail' must be a number in [0, 1], got {value!r}"
+            )
+        return float(value)
 
     def close(self) -> None:
         self._transport.close()

@@ -258,6 +258,36 @@ def test_filter_with_exec_scorer(kb_paths, tmp_path):
     assert filtered["is_negative"] is False
 
 
+def test_filter_rejects_bad_entail_value_from_exec_scorer(kb_paths, tmp_path):
+    stub = Path(__file__).parent / "bad_stub_scorer.py"
+    row = {
+        "id": "sf",
+        "text": "San Francisco entered United States records.",
+        "spans": [
+            {"start": 0, "end": 13, "surface": "San Francisco", "link": "Q62"},
+            {"start": 22, "end": 35, "surface": "United States", "link": "Q30"},
+        ],
+        "triples": [{"head": "Q62", "pid": "P17", "tail": "Q30"}],
+        "is_negative": False,
+    }
+    data = tmp_path / "extracted.jsonl"
+    data.write_text(json.dumps(row) + "\n")
+    proc = subprocess.run(
+        [
+            *CLI, "filter", "--input", str(data), *kb_flags(kb_paths),
+            "--scorer", f"exec:{sys.executable} {stub} nli-nan",
+            "--out", str(tmp_path / "filtered.jsonl"),
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    error = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert error["stage"] == "filter"
+    assert error["error"].startswith("ScorerProtocolError: nli response 'entail'")
+    assert "nan" in error["error"].lower()
+
+
 def test_decode_with_exec_scorer(kb_paths, tmp_path):
     stub = Path(__file__).parent / "stub_scorer.py"
     data = tmp_path / "instances.jsonl"

@@ -4,18 +4,23 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factgen.decode import (
     ConstraintViolation,
     DecodeError,
+    DecodeFailure,
     DecodingTries,
     GenState,
     GenStateMachine,
+    Hypothesis,
     Phase,
     beam_search,
 )
 from factgen.linearize import parse_linearized
 from factgen.scorers import NgramScorer
+from factgen.tokenizers import ByteTokenizer
 from factgen.trie import build_trie, year_labels
 
 ENTITIES = ["Italy", "India", "Io"]
@@ -418,3 +423,171 @@ def test_minus_infinity_is_a_valid_logprob(tries, tok):
         beam_size=2, max_len=8,
     )
     assert hyps[0].score == float("-inf")
+
+
+# -- exactness and cost of the lazy beam step ------------------------------------
+
+
+def reference_beam_search(scorer, tokenizer, *, mode, tries, beam_size, max_len):
+    """Test oracle: the full-expansion beam loop.
+
+    Every scored candidate becomes a Hypothesis with an advanced state,
+    then all of them are ranked; ``beam_search`` must return the same list
+    while advancing only the survivors.
+    """
+    machine = GenStateMachine(tries, tokenizer) if mode != "unconstrained" else None
+    initial = Phase.START if mode == "constrained" else Phase.UNCONSTRAINED_PREFIX
+    rank = lambda hyp: (-hyp.score, hyp.tokens)  # noqa: E731
+    live = [Hypothesis((), 0.0, GenState(phase=initial))]
+    finished = []
+    for _ in range(max_len):
+        candidates = []
+        for hyp in live:
+            if machine is not None:
+                allowed = sorted(machine.allowed_tokens(hyp.state))
+            else:
+                allowed = range(tokenizer.vocab_size)
+            for token, logprob in zip(allowed, scorer.score(hyp.tokens, allowed)):
+                if machine is not None:
+                    state = machine.advance(hyp.state, token)
+                elif token == tokenizer.eos_id:
+                    state = GenState(phase=Phase.DONE)
+                else:
+                    state = hyp.state
+                candidates.append(Hypothesis(hyp.tokens + (token,), hyp.score + logprob, state))
+        candidates.sort(key=rank)
+        live = []
+        for hyp in candidates:
+            if hyp.state.phase is Phase.DONE:
+                finished.append(hyp)
+            elif len(live) < beam_size:
+                live.append(hyp)
+        if not live:
+            break
+    pool = sorted(finished + live, key=rank)
+    if not pool:
+        raise DecodeFailure("constraints left no completable hypothesis")
+    return pool[:beam_size]
+
+
+class HashScorer:
+    """Log-probs from a hash of (seed, prefix, candidate): deterministic, tie-heavy.
+
+    ``quantized`` draws one of ``levels`` values, ``equal`` gives every
+    candidate -1.0, ``neginf`` is quantized with about a third at -inf.
+    With ``special_first`` the ``[TRIPLE]`` marker scores 0 and the other
+    reserved ids (EOS, the delimiters) rank one level above bytes, so
+    free-form decoding reaches the constrained part and EOS shows up
+    inside labels.
+    """
+
+    MARKER = ByteTokenizer().special_id("[TRIPLE]")
+
+    def __init__(self, kind, seed, levels, special_first):
+        self.kind = kind
+        self.seed = seed
+        self.levels = levels
+        self.special_first = special_first
+
+    def score(self, prefix, candidates):
+        if self.kind == "equal":
+            return [-1.0] * len(candidates)
+        key = hash((self.seed, tuple(prefix)))
+        out = []
+        for c in candidates:
+            h = hash((key, c)) & 0xFFFFFF
+            if self.kind == "neginf" and h % 3 == 0:
+                out.append(float("-inf"))
+                continue
+            level = (h >> 2) % self.levels
+            if self.special_first:
+                level = 0 if c == self.MARKER else level + 1 + (c < 256)
+            out.append(-0.5 * level)
+        return out
+
+
+# "</s>" is the EOS literal: inside a label it is a label token, not the end.
+EOS_ENTITIES = ["Io", "I</s>", "Io</s>o", "It"]
+
+
+def eos_label_tries():
+    tok = ByteTokenizer()
+    return DecodingTries(
+        entity=build_trie(EOS_ENTITIES, tok),
+        relation=build_trie(["in", "n</s>"], tok),
+        tail=build_trie(EOS_ENTITIES + ["17"], tok),
+    )
+
+
+EXACTNESS_TRIES = eos_label_tries()
+
+
+def test_eos_inside_a_label_is_not_an_ending(oracle_scorer_cls):
+    tok = ByteTokenizer()
+    gold = tuple(tok.encode("<sub>I</s><rel>n</s><obj>Io</s>o<et>") + [tok.eos_id])
+    assert gold.count(tok.eos_id) == 4
+    hyps = beam_search(
+        oracle_scorer_cls(gold), tok, mode="constrained", tries=EXACTNESS_TRIES,
+        beam_size=2, max_len=32,
+    )
+    assert hyps[0].tokens == gold
+    assert hyps[0].state == GenState(Phase.DONE, 0, 1)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(
+    mode=st.sampled_from(["unconstrained", "constrained", "partial"]),
+    beam_size=st.integers(1, 4),
+    max_len=st.integers(1, 14),
+    kind=st.sampled_from(["quantized", "equal", "neginf"]),
+    seed=st.integers(0, 2**16),
+    levels=st.integers(1, 4),
+    special_first=st.booleans(),
+)
+def test_beam_search_equals_full_expansion(
+    mode, beam_size, max_len, kind, seed, levels, special_first
+):
+    tok = ByteTokenizer()
+    scorer = HashScorer(kind, seed, levels, special_first)
+    args = dict(mode=mode, tries=EXACTNESS_TRIES, beam_size=beam_size, max_len=max_len)
+    try:
+        expected = reference_beam_search(scorer, tok, **args)
+    except DecodeFailure:
+        with pytest.raises(DecodeFailure):
+            beam_search(scorer, tok, **args)
+        return
+    # Whole hypotheses: tokens, score and state, triples_emitted included.
+    assert beam_search(scorer, tok, **args) == expected
+
+
+@pytest.mark.parametrize("mode", ["constrained", "partial"])
+@pytest.mark.parametrize("beam_size", [1, 2, 4])
+def test_beam_step_advances_only_survivors(monkeypatch, tok, mode, beam_size):
+    calls = {"advance": 0, "allowed_tokens": 0}
+    for name in calls:
+        original = getattr(GenStateMachine, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(GenStateMachine, name, counted)
+    inner = HashScorer("quantized", 7, 3, special_first=True)
+    scored = []  # (prefix length, candidates) per scorer call
+
+    class CountingScorer:
+        def score(self, prefix, candidates):
+            scored.append((len(prefix), len(candidates)))
+            return inner.score(prefix, candidates)
+
+    beam_search(
+        CountingScorer(), tok, mode=mode, tries=EXACTNESS_TRIES,
+        beam_size=beam_size, max_len=24,
+    )
+    steps = len({length for length, _ in scored})
+    assert steps > 1
+    # One allowed_tokens call per scored hypothesis, at most beam_size
+    # advance calls per step, far fewer than the candidates scored.
+    assert calls["allowed_tokens"] == len(scored)
+    assert 0 < calls["advance"] <= beam_size * steps
+    assert calls["advance"] < sum(n for _, n in scored)

@@ -19,6 +19,7 @@ from factgen.scorers import (
 )
 
 STUB = Path(__file__).parent / "stub_scorer.py"
+BAD_STUB = Path(__file__).parent / "bad_stub_scorer.py"
 
 
 def stub_lm_logprob(token_id: int) -> float:
@@ -143,6 +144,39 @@ def test_protocol_error_on_length_mismatch(tmp_path):
     with ExternalScorerClient.from_spec(f"exec:{sys.executable} {short}") as client:
         with pytest.raises(ScorerProtocolError):
             client.lm_logprobs([], [1, 2, 3])
+
+
+@pytest.mark.parametrize(
+    "variant", ["nli-nan", "nli-above-one", "nli-negative", "nli-string", "nli-null"]
+)
+def test_protocol_error_on_bad_entail_value(variant):
+    spec = f"exec:{sys.executable} {BAD_STUB} {variant}"
+    with ExternalScorerClient.from_spec(spec) as client:
+        with pytest.raises(ScorerProtocolError, match=r"^nli response 'entail' must be"):
+            client.nli_entail("premise", "hypothesis")
+
+
+@pytest.mark.parametrize("variant", ["lm-null", "lm-string", "lm-bool"])
+def test_protocol_error_on_non_numeric_logprob(variant):
+    spec = f"exec:{sys.executable} {BAD_STUB} {variant}"
+    with ExternalScorerClient.from_spec(spec) as client:
+        with pytest.raises(ScorerProtocolError, match=r"^lm response log-prob .* not a number"):
+            client.lm_logprobs([], [1, 2])
+
+
+def test_entail_bounds_are_inclusive(tmp_path):
+    edges = tmp_path / "edge_scorer.py"
+    edges.write_text(
+        "import sys, json\n"
+        "values = iter([0, 1.0])\n"
+        "for line in sys.stdin:\n"
+        "    sys.stdout.write(json.dumps({'entail': next(values)}) + '\\n')\n"
+        "    sys.stdout.flush()\n",
+        encoding="utf-8",
+    )
+    with ExternalScorerClient.from_spec(f"exec:{sys.executable} {edges}") as client:
+        assert client.nli_entail("p", "h") == 0.0
+        assert client.nli_entail("p", "h") == 1.0
 
 
 # -- external protocol: tcp ---------------------------------------------------------

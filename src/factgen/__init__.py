@@ -38,7 +38,6 @@ from .linearize import (
 )
 from .pipeline import (
     HypothesisTemplates,
-    PipelineConfig,
     ScoredTriple,
     entailment_filter,
     extract_ds_triples,

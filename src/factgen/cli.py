@@ -2,7 +2,10 @@
 
 Each stage reads JSONL (or TSV for the KB), writes its output plus a
 ``<output>.manifest.json`` recording the stage configuration, input/output
-paths, seed, and record counts. Manifests contain nothing volatile, so
+paths, seed, and record counts. Every file is first written in full under a
+temporary name in its own directory and then moved into place with
+``os.replace``, the manifest last, so a stage that fails leaves the previous
+outputs and manifest as they were. Manifests contain nothing volatile, so
 rerunning a stage with identical inputs and seed reproduces every output
 byte for byte; wall-clock durations go to the log instead.
 
@@ -13,12 +16,14 @@ on stderr naming the stage), 2 on bad flags.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import logging
 import math
+import os
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -48,6 +53,7 @@ from .records import (
     dataset_record,
     instance_record,
     load_dataset,
+    load_gold,
     load_input_sentences,
     load_predictions,
     prediction_record,
@@ -68,41 +74,71 @@ logger = logging.getLogger(__name__)
 
 TARGET_MODES = ("standard", "entity-prompt", "artificial-prompt", "dual-head")
 DECODE_MODES = ("unconstrained", "constrained", "partial")
+TRIE_KINDS = ("entity", "relation", "tail")
+# The flags naming a stage's input files, in the order its manifest lists them.
+INPUT_FLAGS = ("input", "pred", "gold", "kb_entities", "kb_relations", "kb_triples")
 
 
-@dataclass
-class RunManifest:
-    """Deterministic record of one stage run.
+def _write_temp(path: str, content, index: int) -> str:
+    """Write ``content`` beside ``path`` under a temporary name and return it.
 
-    Nothing volatile goes in: manifests must be byte-identical across
-    reruns with the same inputs (``main`` logs the stage duration).
+    A trie is written as its cache, a dict as indented JSON and anything
+    else as JSONL rows. A failed write removes its temporary file. The
+    ``index`` keeps temporary names apart when two outputs share a path.
     """
-
-    stage: str
-    config: dict
-    inputs: list[str]
-    outputs: list[str]
-    seed: int | None = None
-    record_counts: dict[str, int] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "config": self.config,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "seed": self.seed,
-            "record_counts": self.record_counts,
-        }
-
-    def write(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, ensure_ascii=False, sort_keys=True, indent=2)
-            handle.write("\n")
+    temp = f"{path}.{os.getpid()}-{index}.tmp"
+    try:
+        if isinstance(content, ConstraintTrie):
+            content.save(temp)
+        elif isinstance(content, dict):
+            with open(temp, "w", encoding="utf-8") as handle:
+                json.dump(content, handle, ensure_ascii=False, sort_keys=True, indent=2)
+                handle.write("\n")
+        else:
+            write_jsonl(temp, content)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(temp)
+        raise
+    return temp
 
 
-def _manifest_path(output: str) -> str:
-    return output + ".manifest.json"
+def _finish_stage(
+    args: argparse.Namespace,
+    outputs: list[tuple[str, object]],
+    config: dict,
+    record_counts: dict[str, int],
+    seed: int | None = None,
+) -> None:
+    """Write a stage's ``(path, content)`` outputs, then its manifest.
+
+    Nothing is moved into place before every file, the manifest included,
+    has been written in full; the manifest moves last. It sits beside the
+    first output, or in ``--out-dir`` for ``split``.
+    """
+    out_dir = getattr(args, "out_dir", None)
+    if out_dir:
+        manifest_path = str(Path(out_dir) / f"{args.command}.manifest.json")
+    else:
+        manifest_path = outputs[0][0] + ".manifest.json"
+    manifest = {
+        "stage": args.command,
+        "config": config,
+        "inputs": [getattr(args, flag) for flag in INPUT_FLAGS if hasattr(args, flag)],
+        "outputs": [path for path, _ in outputs],
+        "seed": seed,
+        "record_counts": record_counts,
+    }
+    staged = []
+    try:
+        for index, (path, content) in enumerate([*outputs, (manifest_path, manifest)]):
+            staged.append((_write_temp(path, content, index), path))
+    except BaseException:
+        for temp, _ in staged:
+            os.remove(temp)
+        raise
+    for temp, path in staged:
+        os.replace(temp, path)
 
 
 def _add_kb_flags(parser: argparse.ArgumentParser) -> None:
@@ -115,12 +151,11 @@ def _load_kb_from_args(args: argparse.Namespace) -> KbStore:
     return load_kb(args.kb_entities, args.kb_relations, args.kb_triples)
 
 
-def _kb_inputs(args: argparse.Namespace) -> list[str]:
-    return [args.kb_entities, args.kb_relations, args.kb_triples]
-
-
 def _parse_split(text: str) -> tuple[float, float, float]:
-    parts = [float(p) for p in text.split(",")]
+    try:
+        parts = [float(p) for p in text.split(",")]
+    except ValueError:
+        parts = []
     if len(parts) != 3:
         raise ValueError(f"--split needs three comma-separated numbers, got {text!r}")
     total = sum(parts)
@@ -131,25 +166,32 @@ def _parse_split(text: str) -> tuple[float, float, float]:
     return parts[0], parts[1], parts[2]
 
 
-def _make_nli_scorer(spec: str):
+@contextlib.contextmanager
+def _open_scorer(spec: str, mock, external):
+    """Yield ``mock()`` for ``--scorer mock``, else ``external(client)`` over
+    an ``exec:``/``tcp:`` client that is closed however the block exits."""
     if spec == "mock":
-        # Keep-everything stub: deterministic and above any sane threshold.
-        return TableNliScorer(default=1.0), None
-    client = ExternalScorerClient.from_spec(spec)
-    return ExternalNliScorer(client), client
+        yield mock()
+    else:
+        with ExternalScorerClient.from_spec(spec) as client:
+            yield external(client)
 
 
-def _make_lm_scorer(spec: str, targets: Sequence[Sequence[int]], tokenizer: ByteTokenizer, order: int):
-    if spec == "mock":
-        return NgramScorer(targets, tokenizer.vocab_size, tokenizer.eos_id, order=order), None
-    client = ExternalScorerClient.from_spec(spec)
-    return ExternalLmScorer(client), client
+def _build_trie(kb: KbStore, kind: str, tokenizer: ByteTokenizer, years=()) -> ConstraintTrie:
+    """The ``kind`` trie; the tail one also holds ``year_labels(*years)``."""
+    if kind == "entity":
+        labels = kb.entity_titles()
+    elif kind == "relation":
+        labels = kb.relation_labels()
+    else:
+        labels = list(kb.entity_titles()) + year_labels(*years)
+    return build_trie(labels, tokenizer)
 
 
 # -- stage commands ----------------------------------------------------------
 
 
-def cmd_build_kb(args: argparse.Namespace) -> int:
+def cmd_build_kb(args: argparse.Namespace) -> None:
     kb = _load_kb_from_args(args)
     stats = {
         "entities": kb.num_entities,
@@ -157,156 +199,89 @@ def cmd_build_kb(args: argparse.Namespace) -> int:
         "pairs": kb.num_pairs,
         "triples": kb.num_triples,
     }
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(stats, handle, sort_keys=True, indent=2)
-        handle.write("\n")
-    manifest = RunManifest(
-        stage="build-kb",
-        config={},
-        inputs=_kb_inputs(args),
-        outputs=[args.out],
-        record_counts=stats,
-    )
-    manifest.write(_manifest_path(args.out))
-    return 0
+    _finish_stage(args, [(args.out, stats)], {}, stats)
 
 
-def cmd_build_trie(args: argparse.Namespace) -> int:
+def cmd_build_trie(args: argparse.Namespace) -> None:
     kb = _load_kb_from_args(args)
     tokenizer = ByteTokenizer()
+    years = (args.years_first, args.years_last)
     outputs = []
     counts = {}
-    if args.out_entity:
-        trie = build_trie(kb.entity_titles(), tokenizer)
-        trie.save(args.out_entity)
-        outputs.append(args.out_entity)
-        counts["entity_labels"] = trie.label_count
-    if args.out_relation:
-        trie = build_trie(kb.relation_labels(), tokenizer)
-        trie.save(args.out_relation)
-        outputs.append(args.out_relation)
-        counts["relation_labels"] = trie.label_count
-    if args.out_tail:
-        labels = list(kb.entity_titles()) + year_labels(args.years_first, args.years_last)
-        trie = build_trie(labels, tokenizer)
-        trie.save(args.out_tail)
-        outputs.append(args.out_tail)
-        counts["tail_labels"] = trie.label_count
+    for kind in TRIE_KINDS:
+        path = getattr(args, f"out_{kind}")
+        if path:
+            trie = _build_trie(kb, kind, tokenizer, years)
+            outputs.append((path, trie))
+            counts[f"{kind}_labels"] = trie.label_count
     if not outputs:
         raise ValueError("nothing to build: pass --out-entity/--out-relation/--out-tail")
-    manifest = RunManifest(
-        stage="build-trie",
-        config={"years_first": args.years_first, "years_last": args.years_last},
-        inputs=_kb_inputs(args),
-        outputs=outputs,
-        record_counts=counts,
-    )
-    manifest.write(_manifest_path(outputs[0]))
-    return 0
+    config = {"years_first": args.years_first, "years_last": args.years_last}
+    _finish_stage(args, outputs, config, counts)
 
 
-def cmd_extract(args: argparse.Namespace) -> int:
+def cmd_extract(args: argparse.Namespace) -> None:
     kb = _load_kb_from_args(args)
     sentences = ingest_sentences(load_input_sentences(args.input), args.min_words)
     rows = [dataset_record(s, extract_ds_triples(s, kb)) for s in sentences]
-    count = write_jsonl(args.out, rows)
-    manifest = RunManifest(
-        stage="extract",
-        config={"min_words": args.min_words},
-        inputs=[args.input, *_kb_inputs(args)],
-        outputs=[args.out],
-        record_counts={"sentences": count},
-    )
-    manifest.write(_manifest_path(args.out))
-    return 0
+    _finish_stage(args, [(args.out, rows)], {"min_words": args.min_words}, {"sentences": len(rows)})
 
 
-def cmd_filter(args: argparse.Namespace) -> int:
+def cmd_filter(args: argparse.Namespace) -> None:
+    if not 0.0 <= args.threshold <= 1.0:
+        raise ValueError(f"--threshold must lie in [0, 1], got {args.threshold}")
     kb = _load_kb_from_args(args)
     templates = (
         HypothesisTemplates.load(args.templates)
         if args.templates
         else HypothesisTemplates({})
     )
-    scorer, client = _make_nli_scorer(args.scorer)
+    dataset = load_dataset(args.input)
     kept_total = 0
     rows = []
-    try:
-        for sentence, triples in load_dataset(args.input):
+    # The mock keeps everything: deterministic and above any sane threshold.
+    mock = functools.partial(TableNliScorer, default=1.0)
+    with _open_scorer(args.scorer, mock, ExternalNliScorer) as scorer:
+        for sentence, triples in dataset:
             kept = entailment_filter(
                 sentence, triples, templates, scorer, args.threshold, kb
             )
             kept_total += len(kept)
             rows.append(dataset_record(sentence, [k.triple for k in kept]))
-    finally:
-        if client is not None:
-            client.close()
-    count = write_jsonl(args.out, rows)
-    manifest = RunManifest(
-        stage="filter",
-        config={"threshold": args.threshold, "scorer": args.scorer},
-        inputs=[args.input, *_kb_inputs(args)],
-        outputs=[args.out],
-        record_counts={"sentences": count, "kept_triples": kept_total},
-    )
-    manifest.write(_manifest_path(args.out))
-    return 0
+    config = {"threshold": args.threshold, "scorer": args.scorer}
+    counts = {"sentences": len(rows), "kept_triples": kept_total}
+    _finish_stage(args, [(args.out, rows)], config, counts)
 
 
-def cmd_negatives(args: argparse.Namespace) -> int:
+def cmd_negatives(args: argparse.Namespace) -> None:
+    fraction = args.neg_fraction
+    if not 0.0 <= fraction < 1.0:
+        raise ValueError(f"--neg-fraction must lie in [0, 1), got {fraction}")
     kb = _load_kb_from_args(args)
     dataset = load_dataset(args.input)
     positives = [(s, t) for s, t in dataset if t]
     pool = [s for s, t in dataset if not t]
     triple_counts = {s.id: len(t) for s, t in dataset if s.id is not None}
-    fraction = args.neg_fraction
-    if not 0.0 <= fraction < 1.0:
-        raise ValueError(f"--neg-fraction must lie in [0, 1), got {fraction}")
     count = round(len(positives) * fraction / (1.0 - fraction))
     negatives = sample_negatives(pool, kb, count, args.seed, triple_counts)
     rows = [dataset_record(s, t) for s, t in positives]
     rows.extend(dataset_record(s, []) for s in negatives)
-    total = write_jsonl(args.out, rows)
-    manifest = RunManifest(
-        stage="negatives",
-        config={"neg_fraction": fraction},
-        inputs=[args.input, *_kb_inputs(args)],
-        outputs=[args.out],
-        seed=args.seed,
-        record_counts={
-            "instances": total,
-            "positives": len(positives),
-            "negatives": len(negatives),
-        },
-    )
-    manifest.write(_manifest_path(args.out))
-    return 0
+    counts = {"instances": len(rows), "positives": len(positives), "negatives": len(negatives)}
+    _finish_stage(args, [(args.out, rows)], {"neg_fraction": fraction}, counts, args.seed)
 
 
-def cmd_split(args: argparse.Namespace) -> int:
+def cmd_split(args: argparse.Namespace) -> None:
     ratios = _parse_split(args.split)
     rows = [row for _, row in read_jsonl(args.input)]
-    train, val, test = split_dataset(rows, ratios, args.seed)
+    parts = dict(zip(("train", "validation", "test"), split_dataset(rows, ratios, args.seed)))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    for name, part in (("train", train), ("validation", val), ("test", test)):
-        path = str(out_dir / f"{name}.jsonl")
-        write_jsonl(path, part)
-        outputs.append(path)
-    manifest = RunManifest(
-        stage="split",
-        config={"ratios": list(ratios)},
-        inputs=[args.input],
-        outputs=outputs,
-        seed=args.seed,
-        record_counts={"train": len(train), "validation": len(val), "test": len(test)},
-    )
-    manifest.write(str(out_dir / "split.manifest.json"))
-    return 0
+    outputs = [(str(out_dir / f"{name}.jsonl"), part) for name, part in parts.items()]
+    counts = {name: len(part) for name, part in parts.items()}
+    _finish_stage(args, outputs, {"ratios": list(ratios)}, counts, args.seed)
 
 
-def cmd_targets(args: argparse.Namespace) -> int:
+def cmd_targets(args: argparse.Namespace) -> None:
     kb = _load_kb_from_args(args)
     rows = []
     for sentence, triples in load_dataset(args.input):
@@ -336,35 +311,19 @@ def cmd_targets(args: argparse.Namespace) -> int:
                     sid, build_dual_target_instance(sentence, el_chain, triple_target)
                 )
             )
-    count = write_jsonl(args.out, rows)
-    manifest = RunManifest(
-        stage="targets",
-        config={"mode": args.mode},
-        inputs=[args.input, *_kb_inputs(args)],
-        outputs=[args.out],
-        record_counts={"instances": count},
-    )
-    manifest.write(_manifest_path(args.out))
-    return 0
+    _finish_stage(args, [(args.out, rows)], {"mode": args.mode}, {"instances": len(rows)})
 
 
 def _load_tries(args: argparse.Namespace, kb: KbStore, tokenizer: ByteTokenizer) -> DecodingTries:
-    if args.entity_trie:
-        entity = ConstraintTrie.load(args.entity_trie)
-    else:
-        entity = build_trie(kb.entity_titles(), tokenizer)
-    if args.relation_trie:
-        relation = ConstraintTrie.load(args.relation_trie)
-    else:
-        relation = build_trie(kb.relation_labels(), tokenizer)
-    if args.tail_trie:
-        tail = ConstraintTrie.load(args.tail_trie)
-    else:
-        tail = build_trie(list(kb.entity_titles()) + year_labels(), tokenizer)
-    return DecodingTries(entity=entity, relation=relation, tail=tail)
+    """Each trie from its ``--<kind>-trie`` cache when given, else built from the KB."""
+    tries = {}
+    for kind in TRIE_KINDS:
+        cache = getattr(args, f"{kind}_trie")
+        tries[kind] = ConstraintTrie.load(cache) if cache else _build_trie(kb, kind, tokenizer)
+    return DecodingTries(**tries)
 
 
-def cmd_decode(args: argparse.Namespace) -> int:
+def cmd_decode(args: argparse.Namespace) -> None:
     kb = _load_kb_from_args(args)
     tokenizer = ByteTokenizer()
     instances = [row for _, row in read_jsonl(args.input)]
@@ -372,12 +331,14 @@ def cmd_decode(args: argparse.Namespace) -> int:
         tokenizer.encode(row.get("target", row.get("target_ie", "")))
         for row in instances
     ]
-    scorer, client = _make_lm_scorer(args.scorer, gold_targets, tokenizer, args.ngram_order)
     tries = None
     if args.mode in ("constrained", "partial"):
         tries = _load_tries(args, kb, tokenizer)
+    mock = functools.partial(
+        NgramScorer, gold_targets, tokenizer.vocab_size, tokenizer.eos_id, order=args.ngram_order
+    )
     rows = []
-    try:
+    with _open_scorer(args.scorer, mock, ExternalLmScorer) as scorer:
         for row in instances:
             hypotheses = beam_search(
                 scorer,
@@ -389,51 +350,27 @@ def cmd_decode(args: argparse.Namespace) -> int:
             )
             output = tokenizer.decode(hypotheses[0].tokens)
             rows.append(prediction_record(str(row.get("id", "")), output))
-    finally:
-        if client is not None:
-            client.close()
-    count = write_jsonl(args.out, rows)
-    manifest = RunManifest(
-        stage="decode",
-        config={
-            "mode": args.mode,
-            "scorer": args.scorer,
-            "beam": args.beam,
-            "max_len": args.max_len,
-            "ngram_order": args.ngram_order,
-        },
-        inputs=[args.input, *_kb_inputs(args)],
-        outputs=[args.out],
-        record_counts={"predictions": count},
-    )
-    manifest.write(_manifest_path(args.out))
-    return 0
+    config = {
+        "mode": args.mode,
+        "scorer": args.scorer,
+        "beam": args.beam,
+        "max_len": args.max_len,
+        "ngram_order": args.ngram_order,
+    }
+    _finish_stage(args, [(args.out, rows)], config, {"predictions": len(rows)})
 
 
-def cmd_score(args: argparse.Namespace) -> int:
+def cmd_score(args: argparse.Namespace) -> None:
     kb = _load_kb_from_args(args)
     predictions = {
         instance_id: parse_linearized(output)
         for instance_id, output in load_predictions(args.pred).items()
     }
-    gold = {}
-    for sentence, triples in load_dataset(args.gold):
-        gold[sentence.id] = triples
+    gold = load_gold(args.gold)
     report = score_predictions(predictions, gold, kb)
     print(report.format_table())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, sort_keys=True, indent=2)
-            handle.write("\n")
-        manifest = RunManifest(
-            stage="score",
-            config={},
-            inputs=[args.pred, args.gold, *_kb_inputs(args)],
-            outputs=[args.out],
-            record_counts={"instances": len(gold)},
-        )
-        manifest.write(_manifest_path(args.out))
-    return 0
+        _finish_stage(args, [(args.out, report.to_dict())], {}, {"instances": len(gold)})
 
 
 # -- parser ------------------------------------------------------------------
@@ -529,7 +466,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        code = args.func(args)
+        args.func(args)
     except Exception as exc:  # noqa: BLE001 - map data errors to exit 1
         line = json.dumps(
             {"stage": args.command, "error": f"{type(exc).__name__}: {exc}"},
@@ -538,7 +475,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(line, file=sys.stderr)
         return 1
     logger.info("stage %s finished in %.3fs", args.command, time.perf_counter() - started)
-    return code
+    return 0
 
 
 if __name__ == "__main__":

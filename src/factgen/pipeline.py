@@ -66,22 +66,6 @@ class SplitError(PipelineError):
     pass
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    entail_threshold: float = DEFAULT_ENTAIL_THRESHOLD
-    negative_fraction: float = 0.5
-    split: tuple[float, float, float] = DEFAULT_SPLIT
-    rng_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.entail_threshold <= 1.0:
-            raise ValueError("entail_threshold must lie in [0, 1]")
-        if not 0.0 <= self.negative_fraction < 1.0:
-            raise ValueError("negative_fraction must lie in [0, 1)")
-        if not math.isclose(sum(self.split), 1.0, abs_tol=1e-9):
-            raise ValueError(f"split ratios must sum to 1, got {self.split}")
-
-
 def map_date_to_year(surface: str) -> str | None:
     """Extract the year from a recognized date surface form, else None.
 

@@ -151,11 +151,26 @@ def prediction_record(instance_id: str, output: str) -> dict:
     return {"id": instance_id, "output": output}
 
 
+def load_gold(path: str) -> dict[str, list[Triple]]:
+    """Gold triples by dataset record id; a repeated id is an error."""
+    gold: dict[str, list[Triple]] = {}
+    for lineno, row in read_jsonl(path):
+        sentence, triples = parse_dataset_record(row, f"{path}:{lineno}")
+        if sentence.id in gold:
+            raise RecordError(f"{path}:{lineno}: duplicate id {sentence.id!r}")
+        gold[sentence.id] = triples
+    return gold
+
+
 def load_predictions(path: str) -> dict[str, str]:
+    """Prediction outputs by instance id; a repeated id is an error."""
     predictions: dict[str, str] = {}
     for lineno, row in read_jsonl(path):
         try:
-            predictions[str(row["id"])] = row["output"]
+            instance_id, output = str(row["id"]), row["output"]
         except KeyError as exc:
             raise RecordError(f"{path}:{lineno}: record lacks {exc}") from None
+        if instance_id in predictions:
+            raise RecordError(f"{path}:{lineno}: duplicate id {instance_id!r}")
+        predictions[instance_id] = output
     return predictions

@@ -135,6 +135,8 @@ class _ProcessTransport(_LineTransport):
         if self.proc.stdin:
             self.proc.stdin.close()
         self.proc.wait(timeout=10)
+        if self.proc.stdout:
+            self.proc.stdout.close()
 
 
 class _TcpTransport(_LineTransport):

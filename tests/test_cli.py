@@ -7,6 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from factgen import cli
+from factgen.records import write_jsonl
+from factgen.scorers import ExternalScorerClient
+
 from .corpus import (
     CLI,
     kb_flags,
@@ -331,3 +335,243 @@ def test_decode_rejects_nan_from_exec_scorer(kb_paths, tmp_path):
     assert error["stage"] == "decode"
     assert error["error"].startswith("DecodeError: ")
     assert "nan" in error["error"]
+
+
+def stage_error(capsys) -> dict:
+    """The stage JSON line an in-process ``cli.main`` printed last on stderr."""
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("input_exists", [True, False], ids=["empty-input", "no-input"])
+@pytest.mark.parametrize(
+    "stage, flags, message",
+    [
+        ("filter", ["--threshold", "nan"], "--threshold must lie in [0, 1], got nan"),
+        ("filter", ["--threshold", "5"], "--threshold must lie in [0, 1], got 5.0"),
+        ("negatives", ["--neg-fraction", "1"], "--neg-fraction must lie in [0, 1), got 1.0"),
+    ],
+    ids=["threshold-nan", "threshold-5", "neg-fraction-1"],
+)
+def test_bad_bound_fails_before_input_is_read(
+    kb_paths, tmp_path, capsys, stage, flags, message, input_exists
+):
+    data = tmp_path / "empty.jsonl"
+    if input_exists:
+        data.write_text("")
+    out = tmp_path / "out.jsonl"
+    code = cli.main(
+        [stage, "--input", str(data), *kb_flags(kb_paths), *flags, "--out", str(out)]
+    )
+    assert code == 1
+    assert stage_error(capsys) == {"stage": stage, "error": f"ValueError: {message}"}
+    assert sorted(tmp_path.iterdir()) == ([data] if input_exists else [])
+
+
+def test_non_numeric_split_names_the_flag(tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    data.write_text(json.dumps({"id": 1}) + "\n")
+    code = cli.main(
+        ["split", "--input", str(data), "--split", "a,b,c", "--out-dir", str(tmp_path / "s")]
+    )
+    assert code == 1
+    assert stage_error(capsys) == {
+        "stage": "split",
+        "error": "ValueError: --split needs three comma-separated numbers, got 'a,b,c'",
+    }
+
+
+@pytest.mark.parametrize("duplicated", ["gold", "pred"])
+def test_score_rejects_duplicate_ids(kb_paths, tmp_path, capsys, duplicated):
+    triple = {"head": "Q145", "pid": "P36", "tail": "Q84"}
+    second = "i1" if duplicated == "gold" else "i2"
+    gold_rows = [
+        {"id": "i1", "text": "one", "spans": [], "triples": [triple], "is_negative": False},
+        {"id": second, "text": "two", "spans": [], "triples": [], "is_negative": True},
+    ]
+    second = "i1" if duplicated == "pred" else "i2"
+    pred_rows = [{"id": "i1", "output": ""}, {"id": second, "output": ""}]
+    files = {"gold": tmp_path / "gold.jsonl", "pred": tmp_path / "pred.jsonl"}
+    files["gold"].write_text("".join(json.dumps(r) + "\n" for r in gold_rows))
+    files["pred"].write_text("".join(json.dumps(r) + "\n" for r in pred_rows))
+    report = tmp_path / "report.json"
+    code = cli.main(
+        ["score", "--pred", str(files["pred"]), "--gold", str(files["gold"]),
+         *kb_flags(kb_paths), "--out", str(report)]
+    )
+    assert code == 1
+    assert stage_error(capsys) == {
+        "stage": "score",
+        "error": f"RecordError: {files[duplicated]}:2: duplicate id 'i1'",
+    }
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("stage", ["decode", "filter"])
+def test_exec_scorer_is_closed_when_the_stage_fails(
+    kb_paths, tmp_path, capsys, monkeypatch, stage
+):
+    opened, closed = [], []
+    from_spec, close = ExternalScorerClient.from_spec, ExternalScorerClient.close
+
+    def recording_from_spec(spec):
+        opened.append(from_spec(spec))
+        return opened[-1]
+
+    def recording_close(self):
+        closed.append(self)
+        close(self)
+
+    monkeypatch.setattr(ExternalScorerClient, "from_spec", staticmethod(recording_from_spec))
+    monkeypatch.setattr(ExternalScorerClient, "close", recording_close)
+    stub = Path(__file__).parent / "stub_scorer.py"
+    data = tmp_path / "data.jsonl"
+    if stage == "decode":
+        data.write_text(json.dumps({"id": "x", "input": "text", "target": ""}) + "\n")
+        corrupt = tmp_path / "entity.trie"
+        corrupt.write_bytes(b"not a trie cache")
+        flags = ["--entity-trie", str(corrupt)]
+        expected = "TrieCacheError: "
+    else:
+        # P99 is not in the KB, so rendering its hypothesis fails mid-stage.
+        row = {
+            "id": "sf",
+            "text": "San Francisco entered United States records.",
+            "spans": [],
+            "triples": [{"head": "Q62", "pid": "P99", "tail": "Q30"}],
+            "is_negative": False,
+        }
+        data.write_text(json.dumps(row) + "\n")
+        flags = []
+        expected = "TemplateError: unknown relation 'P99'"
+    out = tmp_path / "out.jsonl"
+    code = cli.main(
+        [stage, "--input", str(data), *kb_flags(kb_paths), *flags,
+         "--scorer", f"exec:{sys.executable} {stub}", "--out", str(out)]
+    )
+    assert code == 1
+    error = stage_error(capsys)
+    assert error["stage"] == stage
+    assert error["error"].startswith(expected)
+    assert closed == opened
+    assert all(client._transport.proc.stdout.closed for client in opened)
+    assert not out.exists()
+
+
+def test_failed_write_leaves_previous_outputs_untouched(tmp_path, monkeypatch):
+    data = tmp_path / "data.jsonl"
+    data.write_text("".join(json.dumps({"id": i}) + "\n" for i in range(40)))
+    out = tmp_path / "splits"
+
+    def split(seed: str) -> int:
+        return cli.main(
+            ["split", "--input", str(data), "--seed", seed, "--out-dir", str(out)]
+        )
+
+    assert split("7") == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    written = []
+
+    def write_half_then_fail(path, rows):
+        # The first output is written in full, the second one only in part.
+        written.append(path)
+        if len(written) == 1:
+            return write_jsonl(path, rows)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write('{"id": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_jsonl", write_half_then_fail)
+    assert split("8") == 1
+    assert len(written) == 2
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+# Every manifest of the micro pipeline plus build-kb and build-trie, as the
+# stage runner wrote them before it became one helper; <run> and <kb> stand
+# for the run and KB directories.
+KB_INPUTS = ["<kb>/entities.tsv", "<kb>/relations.tsv", "<kb>/triples.tsv"]
+PINNED_MANIFESTS = {
+    "kb-stats.json.manifest.json": {
+        "stage": "build-kb", "config": {}, "inputs": KB_INPUTS,
+        "outputs": ["<run>/kb-stats.json"], "seed": None,
+        "record_counts": {"entities": 12, "pairs": 12, "relations": 3, "triples": 12},
+    },
+    "entity.trie.manifest.json": {
+        "stage": "build-trie", "config": {"years_first": 1, "years_last": 2100},
+        "inputs": KB_INPUTS,
+        "outputs": ["<run>/entity.trie", "<run>/relation.trie", "<run>/tail.trie"],
+        "seed": None,
+        "record_counts": {"entity_labels": 12, "relation_labels": 3, "tail_labels": 2112},
+    },
+    "extracted.jsonl.manifest.json": {
+        "stage": "extract", "config": {"min_words": 10},
+        "inputs": ["<run>/sentences.jsonl", *KB_INPUTS],
+        "outputs": ["<run>/extracted.jsonl"], "seed": None,
+        "record_counts": {"sentences": 20},
+    },
+    "filtered.jsonl.manifest.json": {
+        "stage": "filter", "config": {"scorer": "mock", "threshold": 0.7},
+        "inputs": ["<run>/extracted.jsonl", *KB_INPUTS],
+        "outputs": ["<run>/filtered.jsonl"], "seed": None,
+        "record_counts": {"kept_triples": 14, "sentences": 20},
+    },
+    "dataset.jsonl.manifest.json": {
+        "stage": "negatives", "config": {"neg_fraction": 0.5},
+        "inputs": ["<run>/filtered.jsonl", *KB_INPUTS],
+        "outputs": ["<run>/dataset.jsonl"], "seed": 7,
+        "record_counts": {"instances": 16, "negatives": 8, "positives": 8},
+    },
+    "splits/split.manifest.json": {
+        "stage": "split", "config": {"ratios": [0.9, 0.05, 0.05]},
+        "inputs": ["<run>/dataset.jsonl"],
+        "outputs": [
+            "<run>/splits/train.jsonl",
+            "<run>/splits/validation.jsonl",
+            "<run>/splits/test.jsonl",
+        ],
+        "seed": 7,
+        "record_counts": {"test": 0, "train": 16, "validation": 0},
+    },
+    "targets.jsonl.manifest.json": {
+        "stage": "targets", "config": {"mode": "standard"},
+        "inputs": ["<run>/dataset.jsonl", *KB_INPUTS],
+        "outputs": ["<run>/targets.jsonl"], "seed": None,
+        "record_counts": {"instances": 16},
+    },
+    "predictions.jsonl.manifest.json": {
+        "stage": "decode",
+        "config": {
+            "beam": 4, "max_len": 96, "mode": "constrained", "ngram_order": 2,
+            "scorer": "mock",
+        },
+        "inputs": ["<run>/targets.jsonl", *KB_INPUTS],
+        "outputs": ["<run>/predictions.jsonl"], "seed": None,
+        "record_counts": {"predictions": 16},
+    },
+    "report.json.manifest.json": {
+        "stage": "score", "config": {},
+        "inputs": ["<run>/predictions.jsonl", "<run>/dataset.jsonl", *KB_INPUTS],
+        "outputs": ["<run>/report.json"], "seed": None,
+        "record_counts": {"instances": 16},
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def manifest_run(kb_paths, tmp_path_factory) -> Path:
+    run = tmp_path_factory.mktemp("manifests")
+    run_pipeline(kb_paths, run)
+    run_cli("build-kb", *kb_flags(kb_paths), "--out", run / "kb-stats.json")
+    run_cli(
+        "build-trie", *kb_flags(kb_paths), "--out-entity", run / "entity.trie",
+        "--out-relation", run / "relation.trie", "--out-tail", run / "tail.trie",
+    )
+    return run
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_MANIFESTS))
+def test_manifest_contents_are_pinned(kb_paths, manifest_run, name):
+    kb_dir = str(Path(kb_paths["entities"]).parent)
+    text = (manifest_run / name).read_text(encoding="utf-8")
+    text = text.replace(str(manifest_run), "<run>").replace(kb_dir, "<kb>")
+    assert json.loads(text) == PINNED_MANIFESTS[name]

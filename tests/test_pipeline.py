@@ -10,7 +10,6 @@ from factgen.kb import Triple
 from factgen.linearize import LinkedSentence, MentionSpan
 from factgen.pipeline import (
     HypothesisTemplates,
-    PipelineConfig,
     SamplingError,
     SplitError,
     TemplateError,
@@ -189,6 +188,14 @@ def test_threshold_is_strictly_above(small_kb, capital_sentence):
         entailment_filter(capital_sentence, [triple], templates, scorer, 0.7, small_kb)
         == []
     )
+
+
+@pytest.mark.parametrize("threshold", [-0.1, 1.5, float("nan")])
+def test_threshold_outside_unit_interval_is_rejected(small_kb, capital_sentence, threshold):
+    with pytest.raises(ValueError, match="threshold must lie in"):
+        entailment_filter(
+            capital_sentence, [], HypothesisTemplates({}), TableNliScorer(), threshold, small_kb
+        )
 
 
 def test_stub_table_matches_hand_filter(small_kb):
@@ -389,21 +396,7 @@ def test_split_deterministic_per_seed():
     assert split_dataset(items, seed=7) != split_dataset(items, seed=8)
 
 
-# -- config / ingestion --------------------------------------------------------------
-
-
-def test_pipeline_config_defaults():
-    config = PipelineConfig()
-    assert config.entail_threshold == 0.7
-    assert config.negative_fraction == 0.5
-    assert config.split == (0.90, 0.05, 0.05)
-
-
-def test_pipeline_config_validation():
-    with pytest.raises(ValueError):
-        PipelineConfig(entail_threshold=1.5)
-    with pytest.raises(ValueError):
-        PipelineConfig(split=(0.8, 0.1, 0.2))
+# -- ingestion ---------------------------------------------------------------------
 
 
 def test_ingestion_drops_short_sentences():

@@ -314,17 +314,23 @@ def cmd_targets(args: argparse.Namespace) -> None:
     _finish_stage(args, [(args.out, rows)], {"mode": args.mode}, {"instances": len(rows)})
 
 
-def _load_tries(args: argparse.Namespace, kb: KbStore, tokenizer: ByteTokenizer) -> DecodingTries:
-    """Each trie from its ``--<kind>-trie`` cache when given, else built from the KB."""
+def _load_tries(args: argparse.Namespace, tokenizer: ByteTokenizer) -> DecodingTries:
+    """Each trie from its ``--<kind>-trie`` cache when given, else built from
+    the KB, which is read only when some cache is missing."""
+    kb = None
     tries = {}
     for kind in TRIE_KINDS:
         cache = getattr(args, f"{kind}_trie")
-        tries[kind] = ConstraintTrie.load(cache) if cache else _build_trie(kb, kind, tokenizer)
+        if cache:
+            tries[kind] = ConstraintTrie.load(cache)
+        else:
+            if kb is None:
+                kb = _load_kb_from_args(args)
+            tries[kind] = _build_trie(kb, kind, tokenizer)
     return DecodingTries(**tries)
 
 
 def cmd_decode(args: argparse.Namespace) -> None:
-    kb = _load_kb_from_args(args)
     tokenizer = ByteTokenizer()
     instances = [row for _, row in read_jsonl(args.input)]
     gold_targets = [
@@ -333,7 +339,7 @@ def cmd_decode(args: argparse.Namespace) -> None:
     ]
     tries = None
     if args.mode in ("constrained", "partial"):
-        tries = _load_tries(args, kb, tokenizer)
+        tries = _load_tries(args, tokenizer)
     mock = functools.partial(
         NgramScorer, gold_targets, tokenizer.vocab_size, tokenizer.eos_id, order=args.ngram_order
     )

@@ -53,9 +53,7 @@ class DecodeFailure(DecodeError):
 class Phase(enum.Enum):
     START = "start"
     IN_SUBJECT = "in_subject"
-    AWAIT_REL = "await_rel"
     IN_RELATION = "in_relation"
-    AWAIT_OBJ = "await_obj"
     IN_OBJECT = "in_object"
     AFTER_TRIPLE = "after_triple"
     UNCONSTRAINED_PREFIX = "unconstrained_prefix"
@@ -99,15 +97,6 @@ class DecodingTries:
     relation: ConstraintTrie
     tail: ConstraintTrie | None = None
 
-    def for_phase(self, phase: Phase) -> ConstraintTrie:
-        if phase is Phase.IN_SUBJECT:
-            return self.entity
-        if phase is Phase.IN_RELATION:
-            return self.relation
-        if phase is Phase.IN_OBJECT:
-            return self.tail if self.tail is not None else self.entity
-        raise ValueError(f"phase {phase} has no trie")
-
 
 class TokenScorer(Protocol):
     """Pluggable stand-in for a trained decoder.
@@ -122,26 +111,6 @@ class TokenScorer(Protocol):
         ...
 
 
-class AllowedTokens(tuple):
-    """Allowed token ids in ascending order; equal to the set of the same ids.
-
-    Scorers receive the ids in this order, so external requests do not
-    depend on set iteration order; callers may still compare with a set.
-    """
-
-    __slots__ = ()
-    __hash__ = None  # type: ignore[assignment]  # equal to sets, not hashable
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (set, frozenset)):
-            return len(self) == len(other) and other.issuperset(self)
-        return tuple.__eq__(self, other)
-
-    def __ne__(self, other: object) -> bool:
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
-
-
 @dataclass(frozen=True)
 class Hypothesis:
     tokens: tuple[int, ...]
@@ -153,60 +122,50 @@ class GenStateMachine:
     """Allowed-token sets and transitions for one trie/tokenizer pairing."""
 
     def __init__(self, tries: DecodingTries, tokenizer: Tokenizer) -> None:
-        self.tries = tries
-        self.tokenizer = tokenizer
-        self._eos = tokenizer.eos_id
-        self._sub = tokenizer.special_id(SUB_TOKEN)
-        self._rel = tokenizer.special_id(REL_TOKEN)
-        self._obj = tokenizer.special_id(OBJ_TOKEN)
-        self._et = tokenizer.special_id(END_TRIPLE_TOKEN)
-        self._triple_marker = tokenizer.special_id(TRIPLE_MARKER)
+        eos = tokenizer.eos_id
+        sub = tokenizer.special_id(SUB_TOKEN)
+        marker = tokenizer.special_id(TRIPLE_MARKER)
         # Per fixed phase (indexed by ordinal, None for label phases): the
-        # allowed ids, and the moves out of it; any other allowed token
-        # keeps the phase.
+        # allowed ids, ascending, and the moves out of it; any other allowed
+        # token keeps the phase.
         done, start = Phase.DONE, Phase.START
-        stop_or_sub = (
-            AllowedTokens(sorted((self._eos, self._sub))),
-            {self._eos: done, self._sub: Phase.IN_SUBJECT},
-        )
+        stop_or_sub = (tuple(sorted((eos, sub))), {eos: done, sub: Phase.IN_SUBJECT})
         fixed = {
             start: stop_or_sub,
             Phase.AFTER_TRIPLE: stop_or_sub,
-            Phase.AWAIT_REL: (AllowedTokens((self._rel,)), {self._rel: Phase.IN_RELATION}),
-            Phase.AWAIT_OBJ: (AllowedTokens((self._obj,)), {self._obj: Phase.IN_OBJECT}),
             Phase.UNCONSTRAINED_PREFIX: (
-                AllowedTokens(range(tokenizer.vocab_size)),
-                {self._eos: done, self._triple_marker: start},
+                tuple(range(tokenizer.vocab_size)), {eos: done, marker: start}
             ),
-            done: (AllowedTokens(), {}),
+            done: ((), {}),
         }
         # Per label phase (None for the fixed phases): its trie, the symbol
-        # that closes a complete label, the phase that symbol leads to, and
-        # the phase taken when a label ends with no longer alternative
-        # (None: stay, so that only the closing symbol is allowed; no await
-        # state exists before <et>).
+        # that closes a complete label and the phase that symbol leads to.
+        # A label that no longer label extends stays at its leaf node, where
+        # the closing symbol is the only allowed token.
         labels = {
-            Phase.IN_SUBJECT: (self._rel, Phase.IN_RELATION, Phase.AWAIT_REL),
-            Phase.IN_RELATION: (self._obj, Phase.IN_OBJECT, Phase.AWAIT_OBJ),
-            Phase.IN_OBJECT: (self._et, Phase.AFTER_TRIPLE, None),
+            Phase.IN_SUBJECT: (tries.entity, tokenizer.special_id(REL_TOKEN), Phase.IN_RELATION),
+            Phase.IN_RELATION: (tries.relation, tokenizer.special_id(OBJ_TOKEN), Phase.IN_OBJECT),
+            Phase.IN_OBJECT: (
+                tries.tail if tries.tail is not None else tries.entity,
+                tokenizer.special_id(END_TRIPLE_TOKEN),
+                Phase.AFTER_TRIPLE,
+            ),
         }
         self._fixed = [fixed.get(phase) for phase in Phase]
-        self._labels = [
-            (tries.for_phase(phase), *labels[phase]) if phase in labels else None
-            for phase in Phase
-        ]
+        self._labels = [labels.get(phase) for phase in Phase]
 
-    def allowed_tokens(self, state: GenState) -> AllowedTokens:
+    def allowed_tokens(self, state: GenState) -> tuple[int, ...]:
+        """The allowed next token ids, ascending."""
         label = self._labels[state.phase.ordinal]
         if label is None:
             return self._fixed[state.phase.ordinal][0]
-        trie, close, _, _ = label
+        trie, close, _ = label
         ids = trie.children(state.node)  # a fresh array, ascending
         if trie.is_terminal(state.node):
             at = bisect_left(ids, close)
             if at == len(ids) or ids[at] != close:
                 ids.insert(at, close)
-        return AllowedTokens(ids)
+        return tuple(ids)
 
     def advance(self, state: GenState, token: int) -> GenState:
         """Deterministic transition; a disallowed token is an error."""
@@ -214,7 +173,7 @@ class GenStateMachine:
         emitted = state.triples_emitted
         label = self._labels[phase.ordinal]
         if label is not None:
-            trie, close, after_close, after_last = label
+            trie, close, after_close = label
             if token == close and trie.is_terminal(state.node):
                 if after_close is Phase.AFTER_TRIPLE:
                     emitted += 1
@@ -222,10 +181,6 @@ class GenStateMachine:
             node = trie.child(state.node, token)
             if node < 0:
                 raise _violation(state, token)
-            if after_last is not None and not trie.has_children(node):
-                # The label just completed with no longer alternative; the
-                # only legal move is the closing symbol, so await it.
-                return GenState(after_last, 0, emitted)
             return GenState(phase, node, emitted)
         allowed, moves = self._fixed[phase.ordinal]
         after = moves.get(token)

@@ -109,12 +109,10 @@ class HypothesisTemplates:
 
     Templates contain ``{head}`` and ``{tail}`` placeholders. Relations
     without a custom template fall back to "<head label> <relation label>
-    <tail label>." unless ``use_default`` is off, in which case a missing
-    relation is an error.
+    <tail label>."; a relation missing from the KB is an error.
     """
 
     by_pid: dict[str, list[str]]
-    use_default: bool = True
 
     def __post_init__(self) -> None:
         for pid, templates in self.by_pid.items():
@@ -128,7 +126,7 @@ class HypothesisTemplates:
                     )
 
     @classmethod
-    def load(cls, path: str, use_default: bool = True) -> "HypothesisTemplates":
+    def load(cls, path: str) -> "HypothesisTemplates":
         """Read a JSONL file of ``{"pid": ..., "templates": [...]}`` rows."""
         by_pid: dict[str, list[str]] = {}
         with open(path, encoding="utf-8") as handle:
@@ -140,7 +138,7 @@ class HypothesisTemplates:
                     by_pid[row["pid"]] = list(row["templates"])
                 except (KeyError, ValueError) as exc:
                     raise TemplateError(f"{path}:{lineno}: {exc}") from None
-        return cls(by_pid, use_default=use_default)
+        return cls(by_pid)
 
     def _label(self, kb: KbStore, value: str) -> str:
         label = kb.entity_label(value)
@@ -161,8 +159,6 @@ class HypothesisTemplates:
                 raise TemplateError(
                     f"bad placeholder in template for {triple.relation}: {exc}"
                 ) from None
-        if not self.use_default:
-            raise TemplateError(f"no template for relation {triple.relation}")
         relation = kb.relation_label(triple.relation)
         if relation is None:
             raise TemplateError(f"unknown relation {triple.relation!r}")

@@ -11,7 +11,7 @@ linearized string.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .kb import Triple
 from .linearize import (
@@ -50,11 +50,34 @@ def write_jsonl(path: str, rows: Iterable[Mapping]) -> int:
     return count
 
 
+def _check_type(context: str, field: str, value: object, kind: type) -> None:
+    # type(), not isinstance(): JSON true and false are bools, an int subclass.
+    if type(value) is not kind:
+        raise RecordError(f"{context}: {field} must be {kind.__name__}, got {value!r}")
+
+
+def _load_unique(path: str, parse: Callable[[Mapping, str], object]) -> list:
+    """``parse(row, "path:line")`` over every record; a repeated id is an error."""
+    seen: set[str] = set()
+    items = []
+    for lineno, row in read_jsonl(path):
+        context = f"{path}:{lineno}"
+        items.append(parse(row, context))
+        record_id = str(row["id"])  # present: every parser requires it
+        if record_id in seen:
+            raise RecordError(f"{context}: duplicate id {record_id!r}")
+        seen.add(record_id)
+    return items
+
+
 def _span_from_input(raw: Mapping, context: str) -> MentionSpan:
     try:
         start, end, surface = raw["start"], raw["end"], raw["surface"]
     except KeyError as exc:
         raise RecordError(f"{context}: span lacks {exc}") from None
+    _check_type(context, "start", start, int)
+    _check_type(context, "end", end, int)
+    _check_type(context, "surface", surface, str)
     link = raw.get("link")
     if link is None and "date" in raw:
         link = map_date_to_year(str(raw["date"]))
@@ -67,6 +90,7 @@ def sentence_from_input_record(row: Mapping, context: str = "<record>") -> Linke
         sid = str(row["id"])
     except KeyError as exc:
         raise RecordError(f"{context}: record lacks {exc}") from None
+    _check_type(context, "text", text, str)
     spans = sorted(
         (_span_from_input(s, context) for s in row.get("spans", ())),
         key=lambda s: s.start,
@@ -83,10 +107,8 @@ def sentence_from_input_record(row: Mapping, context: str = "<record>") -> Linke
 
 
 def load_input_sentences(path: str) -> list[LinkedSentence]:
-    return [
-        sentence_from_input_record(row, f"{path}:{lineno}")
-        for lineno, row in read_jsonl(path)
-    ]
+    """Input sentences in file order; a repeated id is an error."""
+    return _load_unique(path, sentence_from_input_record)
 
 
 def dataset_record(sentence: LinkedSentence, triples: Iterable[Triple]) -> dict:
@@ -130,10 +152,8 @@ def parse_dataset_record(
 
 
 def load_dataset(path: str) -> list[tuple[LinkedSentence, list[Triple]]]:
-    return [
-        parse_dataset_record(row, f"{path}:{lineno}")
-        for lineno, row in read_jsonl(path)
-    ]
+    """Dataset records in file order; a repeated id is an error."""
+    return _load_unique(path, parse_dataset_record)
 
 
 def instance_record(instance_id: str, instance: TrainingInstance | DualTargetInstance) -> dict:
@@ -153,24 +173,18 @@ def prediction_record(instance_id: str, output: str) -> dict:
 
 def load_gold(path: str) -> dict[str, list[Triple]]:
     """Gold triples by dataset record id; a repeated id is an error."""
-    gold: dict[str, list[Triple]] = {}
-    for lineno, row in read_jsonl(path):
-        sentence, triples = parse_dataset_record(row, f"{path}:{lineno}")
-        if sentence.id in gold:
-            raise RecordError(f"{path}:{lineno}: duplicate id {sentence.id!r}")
-        gold[sentence.id] = triples
-    return gold
+    return {sentence.id: triples for sentence, triples in load_dataset(path)}
+
+
+def _prediction_from_record(row: Mapping, context: str) -> tuple[str, str]:
+    try:
+        instance_id, output = str(row["id"]), row["output"]
+    except KeyError as exc:
+        raise RecordError(f"{context}: record lacks {exc}") from None
+    _check_type(context, "output", output, str)
+    return instance_id, output
 
 
 def load_predictions(path: str) -> dict[str, str]:
     """Prediction outputs by instance id; a repeated id is an error."""
-    predictions: dict[str, str] = {}
-    for lineno, row in read_jsonl(path):
-        try:
-            instance_id, output = str(row["id"]), row["output"]
-        except KeyError as exc:
-            raise RecordError(f"{path}:{lineno}: record lacks {exc}") from None
-        if instance_id in predictions:
-            raise RecordError(f"{path}:{lineno}: duplicate id {instance_id!r}")
-        predictions[instance_id] = output
-    return predictions
+    return dict(_load_unique(path, _prediction_from_record))

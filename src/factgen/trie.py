@@ -87,9 +87,6 @@ class ConstraintTrie:
         """Token ids of ``node``'s children, ascending."""
         return self._tokens[self._first[node]:self._first[node + 1]]
 
-    def has_children(self, node: int) -> bool:
-        return self._first[node + 1] > self._first[node]
-
     def is_terminal(self, node: int) -> bool:
         return self._terminal[node] == 1
 

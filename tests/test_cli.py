@@ -406,6 +406,56 @@ def test_score_rejects_duplicate_ids(kb_paths, tmp_path, capsys, duplicated):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("stage", ["extract", "negatives"])
+def test_repeated_input_id_is_rejected(kb_paths, tmp_path, capsys, stage):
+    # A later positive repeating a pool sentence's id once made negatives
+    # count that sentence's triples from the wrong record.
+    triple = {"head": "Q145", "pid": "P36", "tail": "Q84"}
+    rows = [
+        {"id": "s1", "text": "one", "spans": [], "triples": []},
+        {"id": "s2", "text": "two", "spans": [], "triples": [triple]},
+        {"id": "s1", "text": "three", "spans": [], "triples": [triple]},
+    ]
+    data = tmp_path / "data.jsonl"
+    write_jsonl(str(data), rows)
+    out = tmp_path / "out.jsonl"
+    code = cli.main([stage, "--input", str(data), *kb_flags(kb_paths), "--out", str(out)])
+    assert code == 1
+    assert stage_error(capsys) == {
+        "stage": stage,
+        "error": f"RecordError: {data}:3: duplicate id 's1'",
+    }
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["unconstrained", "constrained"])
+def test_decode_reads_the_kb_only_to_build_a_missing_trie(tmp_path, mode):
+    kb = write_kb_fixture(tmp_path / "kb")
+    tries = []
+    if mode == "constrained":
+        build = ["build-trie", *kb_flags(kb)]
+        for kind in ("entity", "relation", "tail"):
+            cache = str(tmp_path / f"{kind}.trie")
+            build += [f"--out-{kind}", cache]
+            tries += [f"--{kind}-trie", cache]
+        assert cli.main(build) == 0
+    data = tmp_path / "instances.jsonl"
+    write_jsonl(str(data), [
+        {"id": "a", "input": "x", "target": "<sub>United Kingdom<rel>capital<obj>London<et>"},
+        {"id": "b", "input": "y", "target": "<sub>Italy<rel>capital<obj>Rome<et>"},
+    ])
+    out = tmp_path / "pred.jsonl"
+    manifest = tmp_path / "pred.jsonl.manifest.json"
+    argv = ["decode", "--input", str(data), *kb_flags(kb), "--mode", mode, *tries,
+            "--beam", "2", "--max-len", "64", "--out", str(out)]
+    assert cli.main(argv) == 0
+    with_kb = out.read_bytes(), manifest.read_bytes()
+    for path in kb.values():
+        Path(path).unlink()
+    assert cli.main(argv) == 0
+    assert (out.read_bytes(), manifest.read_bytes()) == with_kb
+
+
 @pytest.mark.parametrize("stage", ["decode", "filter"])
 def test_exec_scorer_is_closed_when_the_stage_fails(
     kb_paths, tmp_path, capsys, monkeypatch, stage

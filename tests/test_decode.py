@@ -52,39 +52,39 @@ def walk(machine, tokens, state=None):
 
 
 def test_fresh_state_allows_stop_or_subject(machine, tok):
-    assert machine.allowed_tokens(GenState()) == {tok.eos_id, tok.special_id("<sub>")}
+    expected = tuple(sorted({tok.eos_id, tok.special_id("<sub>")}))
+    assert machine.allowed_tokens(GenState()) == expected
 
 
 def test_after_sub_only_entity_first_tokens(machine, tok):
     state = walk(machine, [tok.special_id("<sub>")])
     assert state.phase is Phase.IN_SUBJECT
-    assert machine.allowed_tokens(state) == {ord("I")}
+    assert machine.allowed_tokens(state) == (ord("I"),)
 
 
 def test_completion_point_offers_continuation_and_transition(machine, tok):
     # "I" can extend toward all three entities; none is complete yet.
     state = walk(machine, [tok.special_id("<sub>")] + tok.encode("I"))
     allowed = machine.allowed_tokens(state)
-    assert allowed == {ord("t"), ord("n"), ord("o")}
-    # "Io" is complete and no longer label continues it: forced transition.
+    assert allowed == tuple(sorted({ord("t"), ord("n"), ord("o")}))
+    # "Io" is complete and no longer label continues it: the state stays at
+    # the leaf, where only the closing symbol is allowed.
     state = walk(machine, [tok.special_id("<sub>")] + tok.encode("Io"))
-    assert state.phase is Phase.AWAIT_REL
-    assert machine.allowed_tokens(state) == {tok.special_id("<rel>")}
+    assert state.phase is Phase.IN_SUBJECT
+    assert machine.allowed_tokens(state) == (tok.special_id("<rel>"),)
 
 
 def test_completion_points_match_trie_oracle(machine, tries, tok):
-    # At every cut of every entity label, allowed = continuations from the
-    # trie plus <rel> exactly at completion points.
+    # At every cut of every entity label, leaves included, allowed =
+    # continuations from the trie plus <rel> exactly at completion points.
     for label in ENTITIES:
         enc = tok.encode(label)
         for cut in range(1, len(enc) + 1):
             prefix = tuple(enc[:cut])
             tokens, complete = tries.entity.allowed_continuations(prefix)
-            if not tokens:
-                continue  # machine would have moved to AWAIT_REL already
             state = walk(machine, [tok.special_id("<sub>")] + list(prefix))
             expected = set(tokens) | ({tok.special_id("<rel>")} if complete else set())
-            assert machine.allowed_tokens(state) == expected
+            assert machine.allowed_tokens(state) == tuple(sorted(expected))
 
 
 def test_scripted_full_triple_walk(machine, tok):
@@ -100,10 +100,10 @@ def test_scripted_full_triple_walk(machine, tok):
     state = walk(machine, tokens)
     assert state.phase is Phase.AFTER_TRIPLE
     assert state.triples_emitted == 1
-    assert machine.allowed_tokens(state) == {tok.eos_id, tok.special_id("<sub>")}
+    assert machine.allowed_tokens(state) == tuple(sorted({tok.eos_id, tok.special_id("<sub>")}))
     done = machine.advance(state, tok.eos_id)
     assert done.phase is Phase.DONE
-    assert machine.allowed_tokens(done) == set()
+    assert machine.allowed_tokens(done) == ()
     with pytest.raises(ConstraintViolation):
         machine.advance(done, tok.eos_id)
 
@@ -132,6 +132,13 @@ def test_disallowed_token_names_phase_and_token(machine, tok):
         machine.advance(GenState(), ord("a"))
 
 
+def test_closing_symbol_before_a_complete_label_is_a_violation(machine, tok):
+    # "I" only starts entity labels; <rel> is allowed once one is complete.
+    state = walk(machine, [tok.special_id("<sub>")] + tok.encode("I"))
+    with pytest.raises(ConstraintViolation, match="phase in_subject"):
+        machine.advance(state, tok.special_id("<rel>"))
+
+
 def test_prefix_invariant_is_enforced():
     # Only the label phases carry a trie node; 0 is the neutral value.
     label_phases = (Phase.IN_SUBJECT, Phase.IN_RELATION, Phase.IN_OBJECT)
@@ -147,7 +154,7 @@ def test_prefix_invariant_is_enforced():
 def test_unconstrained_prefix_allows_everything(machine, tok):
     state = GenState(phase=Phase.UNCONSTRAINED_PREFIX)
     allowed = machine.allowed_tokens(state)
-    assert allowed == set(range(tok.vocab_size))
+    assert allowed == tuple(range(tok.vocab_size))
     assert tok.special_id("[TRIPLE]") in allowed
     after_marker = machine.advance(state, tok.special_id("[TRIPLE]"))
     assert after_marker.phase is Phase.START

@@ -249,19 +249,6 @@ def test_filter_monotone_in_threshold(small_kb, capital_sentence):
         previous = kept
 
 
-def test_missing_template_without_default_is_error(small_kb, capital_sentence):
-    templates = HypothesisTemplates({}, use_default=False)
-    with pytest.raises(TemplateError):
-        entailment_filter(
-            capital_sentence,
-            [Triple("Q145", "P36", "Q84")],
-            templates,
-            TableNliScorer(default=1.0),
-            0.7,
-            small_kb,
-        )
-
-
 def test_template_placeholders_are_validated():
     with pytest.raises(TemplateError):
         HypothesisTemplates({"P36": ["no placeholders here"]})

@@ -109,3 +109,28 @@ def test_predictions_loader(tmp_path):
     predictions = load_predictions(str(path))
     assert set(predictions) == {"a", "b"}
     assert predictions["b"] == ""
+
+
+def _span(**fields):
+    return {"id": "s", "text": "ab", "spans": [{"start": 0, "end": 1, "surface": "a", **fields}]}
+
+
+@pytest.mark.parametrize(
+    "loader, row, message",
+    [
+        (load_input_sentences, {"id": "s", "text": 5}, "text must be str, got 5"),
+        (load_input_sentences, _span(start=0.0), "start must be int, got 0.0"),
+        (load_input_sentences, _span(end=True), "end must be int, got True"),
+        (load_input_sentences, _span(surface=None), "surface must be str, got None"),
+        (load_predictions, {"id": "p", "output": None}, "output must be str, got None"),
+        (load_predictions, {"id": "p", "output": 5}, "output must be str, got 5"),
+    ],
+    ids=["text", "start", "end", "surface", "output-null", "output-int"],
+)
+def test_wrong_typed_field_is_a_record_error_with_its_line(tmp_path, loader, row, message):
+    path = tmp_path / "records.jsonl"
+    valid = {"id": "ok", "text": "x", "output": ""}
+    path.write_text(json.dumps(valid) + "\n" + json.dumps(row) + "\n")
+    with pytest.raises(RecordError) as raised:
+        loader(str(path))
+    assert str(raised.value) == f"{path}:2: {message}"

@@ -232,7 +232,6 @@ def test_node_level_walk_matches_prefix_queries(tok):
             tokens, complete = trie.allowed_continuations(tok.encode(label[:cut]))
             assert tuple(trie.children(node)) == tokens
             assert trie.is_terminal(node) == complete
-            assert trie.has_children(node) == bool(tokens)
             node = trie.child(node, token_id)
             assert node > 0
         assert trie.is_terminal(node)

@@ -131,6 +131,8 @@ def parse_dataset_record(
     row: Mapping, context: str = "<record>"
 ) -> tuple[LinkedSentence, list[Triple]]:
     try:
+        text = row["text"]
+        _check_type(context, "text", text, str)
         spans = tuple(
             MentionSpan(
                 start=s["start"], end=s["end"], surface=s["surface"], link=s.get("link")
@@ -138,7 +140,7 @@ def parse_dataset_record(
             for s in row.get("spans", ())
         )
         sentence = LinkedSentence(
-            text=row["text"],
+            text=text,
             spans=spans,
             is_negative=bool(row.get("is_negative", False)),
             id=str(row["id"]),

@@ -6,28 +6,31 @@ inside a label, which tokens may come next, and is the current prefix
 itself a complete label? Tries are immutable after construction and safe
 for concurrent readers.
 
-Nodes live in flat arrays. They are numbered in preorder, the root is node
-0, and node ``n`` owns the child slots ``first[n]:first[n + 1]``, which hold
-its children's token ids in ascending order and their node numbers. The
-decoder keeps a node number as its position, so one step is one child
-lookup.
+Nodes are numbered breadth first, as in LOUDS (Jacobson 1989), with siblings
+in ascending token order. The root is node 0, node ``n`` owns the child
+slots ``first[n]:first[n + 1]``, which hold its children's token ids in
+ascending order, and the child in slot ``s`` is node ``s + 1``. The decoder
+keeps a node number as its position, so one step is one child lookup.
 
-A binary cache format is provided so large vocabularies can be built once:
-magic ``TRI1``, then the node count, then the nodes in preorder as
-(token-id varint, child-count varint, terminal byte). Loading reads the
-nodes in one loop, so label length is not limited by the call stack.
+The binary cache is those arrays, every integer a little-endian uint32:
+magic ``TRI2``, the node count ``n``, ``first`` (``n + 1`` of them), the
+``n - 1`` slot tokens, then one terminal byte (0 or 1) per node. Loading
+reads them whole and checks them in a few linear scans.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from bisect import bisect_left
-from itertools import accumulate
+from collections import deque
+from itertools import chain, compress
+from operator import ge, or_, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .tokenizers import Tokenizer
 
-TRIE_MAGIC = b"TRI1"
+TRIE_MAGIC = b"TRI2"
 
 _ROOT = 0
 
@@ -41,7 +44,7 @@ class TrieBuildError(TrieError):
 
 
 class TrieCacheError(TrieError):
-    """Corrupt or truncated binary cache."""
+    """Corrupt, truncated or outdated binary cache."""
 
 
 class Continuations(NamedTuple):
@@ -54,22 +57,12 @@ class Continuations(NamedTuple):
 class ConstraintTrie:
     """A trie in flat arrays; build it with :func:`build_trie` or load it."""
 
-    __slots__ = ("_first", "_tokens", "_child", "_terminal", "_label_count")
+    __slots__ = ("_first", "_tokens", "_terminal", "_label_count")
 
-    def __init__(self, token_of: array, parent_of: array, child_counts: array,
-                 terminal: bytearray) -> None:
-        """Lay out child slots from per-node arrays in preorder.
-
-        ``token_of[n]`` and ``parent_of[n]`` describe the edge into node
-        ``n`` (ignored for the root); siblings must appear in ascending
-        token order.
-        """
-        # Stable sort by parent: slots grouped by parent in node order, and
-        # within a parent in preorder, which is ascending token order.
-        slots = sorted(range(1, len(terminal)), key=parent_of.__getitem__)
-        self._first = array("I", accumulate(child_counts, initial=0))
-        self._tokens = array("I", map(token_of.__getitem__, slots))
-        self._child = array("I", slots)
+    def __init__(self, first: array, tokens: array, terminal: bytearray) -> None:
+        """Wrap breadth-first arrays: ``tokens[s]`` labels the edge into node ``s + 1``."""
+        self._first = first
+        self._tokens = tokens
         self._terminal = terminal
         self._label_count = terminal.count(1)
 
@@ -80,7 +73,7 @@ class ConstraintTrie:
         hi = self._first[node + 1]
         slot = bisect_left(self._tokens, token_id, self._first[node], hi)
         if slot < hi and self._tokens[slot] == token_id:
-            return self._child[slot]
+            return slot + 1
         return -1
 
     def children(self, node: int) -> array:
@@ -122,70 +115,39 @@ class ConstraintTrie:
     # -- binary cache --------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        token_of = [0] * self.node_count
-        for slot, node in enumerate(self._child):
-            token_of[node] = self._tokens[slot]
-        first = self._first
-        out = bytearray(TRIE_MAGIC)
-        _write_varint(out, self.node_count)
-        for node, terminal in enumerate(self._terminal):
-            _write_varint(out, token_of[node])
-            _write_varint(out, first[node + 1] - first[node])
-            out.append(terminal)
-        return bytes(out)
+        header = TRIE_MAGIC + self.node_count.to_bytes(4, "little")
+        arrays = (_little_endian(values).tobytes() for values in (self._first, self._tokens))
+        return b"".join((header, *arrays, self._terminal))
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "ConstraintTrie":
-        if blob[: len(TRIE_MAGIC)] != TRIE_MAGIC:
-            raise TrieCacheError("bad magic bytes")
-        declared, pos = _read_varint(blob, len(TRIE_MAGIC))
-        token_of = array("I")
-        parent_of = array("I")
-        child_counts = array("I")
-        terminal = bytearray()
-        # One entry per node whose children are still being read:
-        # [node, children left, token id of the last child read].
-        open_nodes: list[list[int]] = []
-        try:
-            while True:
-                token_id, pos = _read_varint(blob, pos)
-                children, pos = _read_varint(blob, pos)
-                if pos >= len(blob):
-                    raise TrieCacheError("truncated node")
-                flag = blob[pos]
-                pos += 1
-                if flag > 1:
-                    raise TrieCacheError(f"terminal byte {flag} is neither 0 nor 1")
-                node = len(terminal)
-                parent = _ROOT
-                if open_nodes:
-                    entry = open_nodes[-1]
-                    parent = entry[0]
-                    if token_id <= entry[2]:
-                        raise TrieCacheError(
-                            f"children of node {parent} are not in ascending token order"
-                        )
-                    entry[2] = token_id
-                    entry[1] -= 1
-                    if not entry[1]:
-                        open_nodes.pop()
-                token_of.append(token_id)
-                parent_of.append(parent)
-                child_counts.append(children)
-                terminal.append(flag)
-                if children:
-                    open_nodes.append([node, children, -1])
-                elif not open_nodes:
-                    break
-        except OverflowError:
-            raise TrieCacheError("token id or child count out of range") from None
-        if len(terminal) != declared:
-            raise TrieCacheError(
-                f"node count mismatch: header says {declared}, read {len(terminal)}"
-            )
-        if pos != len(blob):
-            raise TrieCacheError(f"{len(blob) - pos} trailing bytes")
-        return cls(token_of, parent_of, child_counts, terminal)
+        if blob[:4] != TRIE_MAGIC:
+            raise TrieCacheError(f"bad magic bytes {blob[:4]!r}: rerun build-trie to rewrite it")
+        n = int.from_bytes(blob[4:8], "little")
+        if n < 1 or len(blob) != 8 + 9 * n:  # a truncated header included
+            raise TrieCacheError(f"node count mismatch: {len(blob)} bytes for {n} nodes")
+        tokens_at = 12 + 4 * n
+        first = _little_endian(array("I", blob[8:tokens_at]))
+        tokens = _little_endian(array("I", blob[tokens_at:8 + 8 * n]))
+        terminal = bytearray(blob[8 + 8 * n:])
+        if terminal.translate(None, b"\x00\x01"):
+            raise TrieCacheError("a terminal byte is neither 0 nor 1")
+        counts = list(map(sub, first[1:], first))  # children per node
+        if first[0] != 0 or first[n] != n - 1 or min(counts) < 0:
+            raise TrieCacheError("child offsets do not run monotone from 0 to node count - 1")
+        # Node i's children start at node first[i] + 1, which must follow i.
+        if not all(map(ge, first, range(n))):
+            raise TrieCacheError("a child is numbered before its parent")
+        # Slot s descends when its token is not above slot s - 1's (slot 0
+        # always does). Every sibling run ascends strictly exactly when each
+        # descent is the first slot of a run.
+        descends = bytes(map(ge, chain((1 << 32,), tokens), tokens))
+        if sum(map(descends.__getitem__, compress(first, counts))) != descends.count(1):
+            raise TrieCacheError("sibling tokens are not in strictly ascending order")
+        # Every node but the root must end a label or lead on to one.
+        if not all(map(or_, counts[1:], terminal[1:])):
+            raise TrieCacheError("a leaf node is not terminal: a dead end")
+        return cls(first, tokens, terminal)
 
     def save(self, path: str) -> None:
         with open(path, "wb") as handle:
@@ -211,32 +173,28 @@ def build_trie(labels: Iterable[str], tokenizer: Tokenizer) -> ConstraintTrie:
         if not ids:
             raise TrieBuildError(f"label {label!r} encodes to no tokens")
         encodings.add(ids)
-    token_of = array("I", [0])
-    parent_of = array("I", [_ROOT])
-    child_counts = array("I", [0])
-    terminal = bytearray(1)
-    # In sorted order each encoding shares a prefix with the previous one
-    # and adds its remaining tokens as new nodes, which is preorder.
-    path = [_ROOT]
-    previous: tuple[int, ...] = ()
-    for ids in sorted(encodings):
-        shared = 0
-        limit = min(len(ids), len(previous))
-        while shared < limit and ids[shared] == previous[shared]:
-            shared += 1
-        del path[shared + 1:]
-        node = path[-1]
-        for token_id in ids[shared:]:
-            child_counts[node] += 1
-            token_of.append(token_id)
-            parent_of.append(node)
-            child_counts.append(0)
-            terminal.append(0)
-            node = len(terminal) - 1
-            path.append(node)
-        terminal[node] = 1
-        previous = ids
-    return ConstraintTrie(token_of, parent_of, child_counts, terminal)
+    ordered = sorted(encodings)
+    first = array("I", [0])
+    tokens = array("I")
+    terminal = bytearray()
+    # Node: the run ordered[lo:hi] sharing its prefix of length depth.
+    pending = deque([(0, len(ordered), 0)])
+    while pending:
+        lo, hi, depth = pending.popleft()
+        # The prefix itself, if it is a label, sorts first in its run.
+        is_label = lo < hi and len(ordered[lo]) == depth
+        terminal.append(is_label)
+        lo += is_label
+        while lo < hi:
+            token_id = ordered[lo][depth]
+            end = lo + 1
+            while end < hi and ordered[end][depth] == token_id:
+                end += 1
+            tokens.append(token_id)
+            pending.append((lo, end, depth + 1))
+            lo = end
+        first.append(len(tokens))
+    return ConstraintTrie(first, tokens, terminal)
 
 
 def year_labels(first: int = 1, last: int = 2100) -> list[str]:
@@ -244,22 +202,9 @@ def year_labels(first: int = 1, last: int = 2100) -> list[str]:
     return [str(year) for year in range(first, last + 1)]
 
 
-def _write_varint(out: bytearray, value: int) -> None:
-    while value >= 0x80:
-        out.append((value & 0x7F) | 0x80)
-        value >>= 7
-    out.append(value)
-
-
-def _read_varint(blob: bytes, pos: int) -> tuple[int, int]:
-    result = 0
-    shift = 0
-    while True:
-        if pos >= len(blob):
-            raise TrieCacheError("truncated varint")
-        byte = blob[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
-        shift += 7
+def _little_endian(values: array) -> array:
+    """``values`` itself on a little-endian host, else a byte-swapped copy."""
+    if sys.byteorder == "big":
+        values = array(values.typecode, values)
+        values.byteswap()
+    return values

@@ -456,9 +456,18 @@ def test_decode_reads_the_kb_only_to_build_a_missing_trie(tmp_path, mode):
     assert (out.read_bytes(), manifest.read_bytes()) == with_kb
 
 
-@pytest.mark.parametrize("stage", ["decode", "filter"])
+@pytest.mark.parametrize(
+    "stage, cache",
+    [
+        ("decode", b"not a trie cache"),
+        # A cache in the older TRI1 layout: the label "a".
+        ("decode", b"TRI1\x02\x00\x01\x00\x61\x00\x01"),
+        ("filter", None),
+    ],
+    ids=["decode", "decode-TRI1", "filter"],
+)
 def test_exec_scorer_is_closed_when_the_stage_fails(
-    kb_paths, tmp_path, capsys, monkeypatch, stage
+    kb_paths, tmp_path, capsys, monkeypatch, stage, cache
 ):
     opened, closed = [], []
     from_spec, close = ExternalScorerClient.from_spec, ExternalScorerClient.close
@@ -478,9 +487,9 @@ def test_exec_scorer_is_closed_when_the_stage_fails(
     if stage == "decode":
         data.write_text(json.dumps({"id": "x", "input": "text", "target": ""}) + "\n")
         corrupt = tmp_path / "entity.trie"
-        corrupt.write_bytes(b"not a trie cache")
+        corrupt.write_bytes(cache)
         flags = ["--entity-trie", str(corrupt)]
-        expected = "TrieCacheError: "
+        expected = "TrieCacheError: bad magic bytes"
     else:
         # P99 is not in the KB, so rendering its hypothesis fails mid-stage.
         row = {
@@ -502,6 +511,8 @@ def test_exec_scorer_is_closed_when_the_stage_fails(
     error = stage_error(capsys)
     assert error["stage"] == stage
     assert error["error"].startswith(expected)
+    if stage == "decode":
+        assert "rerun build-trie" in error["error"]
     assert closed == opened
     assert all(client._transport.proc.stdout.closed for client in opened)
     assert not out.exists()

@@ -122,10 +122,15 @@ def _span(**fields):
         (load_input_sentences, _span(start=0.0), "start must be int, got 0.0"),
         (load_input_sentences, _span(end=True), "end must be int, got True"),
         (load_input_sentences, _span(surface=None), "surface must be str, got None"),
+        (
+            load_dataset,
+            {"id": "a", "text": 5, "spans": [], "triples": []},
+            "text must be str, got 5",
+        ),
         (load_predictions, {"id": "p", "output": None}, "output must be str, got None"),
         (load_predictions, {"id": "p", "output": 5}, "output must be str, got 5"),
     ],
-    ids=["text", "start", "end", "surface", "output-null", "output-int"],
+    ids=["text", "start", "end", "surface", "dataset-text", "output-null", "output-int"],
 )
 def test_wrong_typed_field_is_a_record_error_with_its_line(tmp_path, loader, row, message):
     path = tmp_path / "records.jsonl"

@@ -257,8 +257,8 @@ def build_entity_prompt_target(
     sentence: LinkedSentence, ordered: Sequence[Triple], kb: KbStore
 ) -> LinearizedTarget:
     """Entity-prompt target: EL chain then triples, behind start markers."""
-    chain = entity_linking_chain(sentence, ordered, kb)
     linearized = linearize(ordered, kb)
+    chain = entity_linking_chain(sentence, ordered, kb)
     text = ENTITY_MARKER
     if chain:
         text += " " + chain

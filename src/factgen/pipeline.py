@@ -172,40 +172,63 @@ class ScoredTriple:
 
 
 def entailment_filter(
-    sentence: LinkedSentence,
-    triples: Sequence[Triple],
+    sentences: Sequence[LinkedSentence],
+    triples: Sequence[Sequence[Triple]],
     templates: HypothesisTemplates,
     scorer: NliScorer,
     threshold: float,
     kb: KbStore,
-) -> list[ScoredTriple]:
-    """Keep triples whose best hypothesis the sentence entails.
+) -> list[list[ScoredTriple]]:
+    """Keep the triples of each sentence whose best hypothesis it entails.
 
-    Each triple's score is the maximum entailment probability over its
-    rendered hypotheses (sentence text as premise); triples survive only
-    with score strictly above the threshold. Input order is preserved.
+    ``triples[i]`` are the triples of ``sentences[i]``. Each triple's score
+    is the maximum entailment probability over its rendered hypotheses
+    (sentence text as premise); triples survive only with score strictly
+    above the threshold. Every hypothesis is rendered, once per triple and
+    in input order, before one ``scorer.entail_batch`` call scores them
+    all. The result holds the kept triples of each sentence, in input
+    order.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
+    if len(sentences) != len(triples):
+        raise ValueError(f"{len(sentences)} sentences but {len(triples)} triple lists")
+    rendered = [
+        [templates.hypotheses_for(triple, kb) for triple in sentence_triples]
+        for sentence_triples in triples
+    ]
+    pairs = [
+        (sentence.text, hypothesis)
+        for sentence, per_triple in zip(sentences, rendered)
+        for hypotheses in per_triple
+        for hypothesis in hypotheses
+    ]
+    scores = scorer.entail_batch(pairs)
+    if len(scores) != len(pairs):
+        raise PipelineError(f"scorer gave {len(scores)} scores for {len(pairs)} hypotheses")
+    remaining = iter(scores)
     kept = []
-    for triple in triples:
-        hypotheses = templates.hypotheses_for(triple, kb)
-        score = max(scorer.entail(sentence.text, h) for h in hypotheses)
-        if score > threshold:
-            kept.append(ScoredTriple(triple, score))
+    for sentence_triples, per_triple in zip(triples, rendered):
+        row = []
+        for triple, hypotheses in zip(sentence_triples, per_triple):
+            score = max([next(remaining) for _ in hypotheses])
+            if score > threshold:
+                row.append(ScoredTriple(triple, score))
+        kept.append(row)
     return kept
 
 
 def negative_category(
     sentence: LinkedSentence,
-    kb: KbStore,
+    kb: KbStore | None,
     triple_counts: Mapping[str, int] | None = None,
 ) -> int | None:
     """1 for at-most-one-mention negatives, 2 for no-facts negatives.
 
     Returns None for sentences that still bear triples. When post-filter
     triple counts (keyed by sentence id) are available they decide category
-    2; otherwise raw DS extraction does.
+    2; otherwise raw DS extraction does, and only then is ``kb`` read: it
+    may be None when ``triple_counts`` covers every sentence with an id.
     """
     linked = sentence.linked_spans()
     if len(linked) <= 1:
@@ -219,7 +242,7 @@ def negative_category(
 
 def sample_negatives(
     corpus: Sequence[LinkedSentence],
-    kb: KbStore,
+    kb: KbStore | None,
     count: int,
     seed: int,
     triple_counts: Mapping[str, int] | None = None,
@@ -229,7 +252,8 @@ def sample_negatives(
     Asks for ``ceil(count / 2)`` category-1 and ``floor(count / 2)``
     category-2 sentences; a short category is backfilled from the other
     (logged). Too few candidates overall is an error stating the shortfall.
-    Returned sentences are marked negative.
+    Returned sentences are marked negative. ``kb`` is read only as
+    :func:`negative_category` says.
     """
     if count < 0:
         raise ValueError("count must be >= 0")

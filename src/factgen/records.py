@@ -41,11 +41,16 @@ def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
             yield lineno, row
 
 
+# json.dumps with these options builds a new encoder on every call.
+_ROW_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+
+
 def write_jsonl(path: str, rows: Iterable[Mapping]) -> int:
+    encode = _ROW_ENCODER.encode
     count = 0
     with open(path, "w", encoding="utf-8") as handle:
         for row in rows:
-            handle.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+            handle.write(encode(row) + "\n")
             count += 1
     return count
 
@@ -56,11 +61,16 @@ def _check_type(context: str, field: str, value: object, kind: type) -> None:
         raise RecordError(f"{context}: {field} must be {kind.__name__}, got {value!r}")
 
 
-def _load_unique(path: str, parse: Callable[[Mapping, str], object]) -> list:
-    """``parse(row, "path:line")`` over every record; a repeated id is an error."""
+def _load_unique(
+    path: str,
+    parse: Callable[[Mapping, str], object],
+    numbered_rows: Iterable[tuple[int, dict]],
+) -> list:
+    """``parse(row, "path:line")`` over the ``read_jsonl(path)`` rows given;
+    a repeated id is an error."""
     seen: set[str] = set()
     items = []
-    for lineno, row in read_jsonl(path):
+    for lineno, row in numbered_rows:
         context = f"{path}:{lineno}"
         items.append(parse(row, context))
         record_id = str(row["id"])  # present: every parser requires it
@@ -106,9 +116,25 @@ def sentence_from_input_record(row: Mapping, context: str = "<record>") -> Linke
         raise RecordError(f"{context}: {exc}") from None
 
 
+def _record_with_id(row: Mapping, context: str) -> Mapping:
+    if "id" not in row:
+        raise RecordError(f"{context}: record lacks 'id'")
+    return row
+
+
+def unique_records(path: str, numbered_rows: Iterable[tuple[int, dict]]) -> list[dict]:
+    """The records of ``read_jsonl(path)``, of any schema, in file order;
+    each needs an id, and a repeated id is an error.
+
+    The caller reads the rows, so a caller that times its own
+    ``read_jsonl`` (as ``bench/tracer.py`` does for the CLI) sees the read.
+    """
+    return _load_unique(path, _record_with_id, numbered_rows)
+
+
 def load_input_sentences(path: str) -> list[LinkedSentence]:
     """Input sentences in file order; a repeated id is an error."""
-    return _load_unique(path, sentence_from_input_record)
+    return _load_unique(path, sentence_from_input_record, read_jsonl(path))
 
 
 def dataset_record(sentence: LinkedSentence, triples: Iterable[Triple]) -> dict:
@@ -155,7 +181,7 @@ def parse_dataset_record(
 
 def load_dataset(path: str) -> list[tuple[LinkedSentence, list[Triple]]]:
     """Dataset records in file order; a repeated id is an error."""
-    return _load_unique(path, parse_dataset_record)
+    return _load_unique(path, parse_dataset_record, read_jsonl(path))
 
 
 def instance_record(instance_id: str, instance: TrainingInstance | DualTargetInstance) -> dict:
@@ -189,4 +215,4 @@ def _prediction_from_record(row: Mapping, context: str) -> tuple[str, str]:
 
 def load_predictions(path: str) -> dict[str, str]:
     """Prediction outputs by instance id; a repeated id is an error."""
-    return dict(_load_unique(path, _prediction_from_record))
+    return dict(_load_unique(path, _prediction_from_record, read_jsonl(path)))

@@ -11,7 +11,8 @@ JSON over a child process's standard streams or a TCP socket. Requests are
 ``{"logprobs": [floats]}`` aligned to the candidates, and
 ``{"type": "nli", "premise": str, "hypothesis": str}`` answered by
 ``{"entail": p}``. One request per line; responses come back in request
-order.
+order, so a client may write several requests before reading their
+responses.
 """
 
 from __future__ import annotations
@@ -26,10 +27,16 @@ from collections import Counter
 from typing import Protocol, Sequence
 
 
-class NliScorer(Protocol):
-    """Entailment probability of hypothesis given premise, in [0, 1]."""
+# NLI requests the client writes before reading their responses; see
+# ExternalScorerClient.nli_entail_batch.
+NLI_WINDOW = 64
 
-    def entail(self, premise: str, hypothesis: str) -> float:
+
+class NliScorer(Protocol):
+    """Entailment probabilities of hypotheses given premises, in [0, 1]."""
+
+    def entail_batch(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
+        """One probability per ``(premise, hypothesis)`` pair, in order."""
         ...
 
 
@@ -94,12 +101,13 @@ class TableNliScorer:
         self.table = dict(table or {})
         self.default = default
 
-    def entail(self, premise: str, hypothesis: str) -> float:
-        return self.table.get((premise, hypothesis), self.default)
+    def entail_batch(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
+        return [self.table.get(pair, self.default) for pair in pairs]
 
 
 class _LineTransport:
-    def send_line(self, line: str) -> None:
+    def send_lines(self, lines: Sequence[str]) -> None:
+        """Write each line plus a newline, then flush once."""
         raise NotImplementedError
 
     def recv_line(self) -> str:
@@ -119,9 +127,9 @@ class _ProcessTransport(_LineTransport):
             bufsize=1,
         )
 
-    def send_line(self, line: str) -> None:
+    def send_lines(self, lines: Sequence[str]) -> None:
         assert self.proc.stdin is not None
-        self.proc.stdin.write(line + "\n")
+        self.proc.stdin.write("".join(line + "\n" for line in lines))
         self.proc.stdin.flush()
 
     def recv_line(self) -> str:
@@ -145,8 +153,8 @@ class _TcpTransport(_LineTransport):
         self.reader = self.sock.makefile("r", encoding="utf-8")
         self.writer = self.sock.makefile("w", encoding="utf-8")
 
-    def send_line(self, line: str) -> None:
-        self.writer.write(line + "\n")
+    def send_lines(self, lines: Sequence[str]) -> None:
+        self.writer.write("".join(line + "\n" for line in lines))
         self.writer.flush()
 
     def recv_line(self) -> str:
@@ -166,11 +174,33 @@ def _is_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _parse_response(line: str) -> dict:
+    try:
+        response = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ScorerProtocolError(f"bad scorer response line: {line!r}") from exc
+    if not isinstance(response, dict):
+        raise ScorerProtocolError(f"scorer response is not an object: {line!r}")
+    return response
+
+
+def _entail_value(response: dict) -> float:
+    if "entail" not in response:
+        raise ScorerProtocolError(f"response lacks 'entail': {response!r}")
+    value = response["entail"]
+    if not (_is_number(value) and 0.0 <= value <= 1.0):
+        raise ScorerProtocolError(
+            f"nli response 'entail' must be a number in [0, 1], got {value!r}"
+        )
+    return float(value)
+
+
 class ExternalScorerClient:
     """Client side of the external scorer protocol.
 
-    Requests are serialized under an internal lock, one in flight at a
-    time, matching the protocol's in-order response guarantee.
+    Exchanges are serialized under an internal lock: an exchange writes its
+    requests, then reads one response per request, relying on the
+    protocol's in-order response guarantee.
     """
 
     def __init__(self, transport: _LineTransport) -> None:
@@ -189,17 +219,15 @@ class ExternalScorerClient:
             return cls(_TcpTransport(host, int(port)))
         raise ValueError(f"scorer spec must start with exec: or tcp:, got {spec!r}")
 
-    def request(self, payload: dict) -> dict:
+    def _exchange(self, payloads: Sequence[dict]) -> list[dict]:
+        """Write every request in one flush, then read their responses."""
         with self._lock:
-            self._transport.send_line(json.dumps(payload))
-            line = self._transport.recv_line()
-        try:
-            response = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ScorerProtocolError(f"bad scorer response line: {line!r}") from exc
-        if not isinstance(response, dict):
-            raise ScorerProtocolError(f"scorer response is not an object: {line!r}")
-        return response
+            self._transport.send_lines([json.dumps(payload) for payload in payloads])
+            lines = [self._transport.recv_line() for _ in payloads]
+        return [_parse_response(line) for line in lines]
+
+    def request(self, payload: dict) -> dict:
+        return self._exchange([payload])[0]
 
     def lm_logprobs(self, prefix: Sequence[int], candidates: Sequence[int]) -> list[float]:
         response = self.request(
@@ -216,18 +244,25 @@ class ExternalScorerClient:
                 raise ScorerProtocolError(f"lm response log-prob {value!r} is not a number")
         return [float(v) for v in logprobs]
 
-    def nli_entail(self, premise: str, hypothesis: str) -> float:
-        response = self.request(
-            {"type": "nli", "premise": premise, "hypothesis": hypothesis}
-        )
-        if "entail" not in response:
-            raise ScorerProtocolError(f"response lacks 'entail': {response!r}")
-        value = response["entail"]
-        if not (_is_number(value) and 0.0 <= value <= 1.0):
-            raise ScorerProtocolError(
-                f"nli response 'entail' must be a number in [0, 1], got {value!r}"
-            )
-        return float(value)
+    def nli_entail_batch(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
+        """Entailment probability per ``(premise, hypothesis)`` pair, in order.
+
+        One ``nli`` request per pair, with the same bytes and order as one
+        round trip per pair, but written in windows of ``NLI_WINDOW``
+        requests before their responses are read. That cannot deadlock: at
+        most ``NLI_WINDOW`` responses wait unread, and that many
+        ``{"entail": p}`` lines (about 2 KB) stay far below what a pipe or
+        socket buffers (64 KiB for a Linux pipe), so the scorer never blocks
+        writing a response while the client is still writing requests.
+        """
+        scores = []
+        for start in range(0, len(pairs), NLI_WINDOW):
+            requests = [
+                {"type": "nli", "premise": premise, "hypothesis": hypothesis}
+                for premise, hypothesis in pairs[start : start + NLI_WINDOW]
+            ]
+            scores.extend(map(_entail_value, self._exchange(requests)))
+        return scores
 
     def close(self) -> None:
         self._transport.close()
@@ -255,5 +290,5 @@ class ExternalNliScorer:
     def __init__(self, client: ExternalScorerClient) -> None:
         self.client = client
 
-    def entail(self, premise: str, hypothesis: str) -> float:
-        return self.client.nli_entail(premise, hypothesis)
+    def entail_batch(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
+        return self.client.nli_entail_batch(pairs)

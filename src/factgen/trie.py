@@ -144,6 +144,8 @@ class ConstraintTrie:
         descends = bytes(map(ge, chain((1 << 32,), tokens), tokens))
         if sum(map(descends.__getitem__, compress(first, counts))) != descends.count(1):
             raise TrieCacheError("sibling tokens are not in strictly ascending order")
+        if terminal[0]:
+            raise TrieCacheError("the root is terminal: an empty label")
         # Every node but the root must end a label or lead on to one.
         if not all(map(or_, counts[1:], terminal[1:])):
             raise TrieCacheError("a leaf node is not terminal: a dead end")

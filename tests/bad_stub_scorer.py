@@ -1,8 +1,9 @@
 """Misbehaving variants of ``stub_scorer.py`` for protocol-validation tests.
 
-Usage: ``python bad_stub_scorer.py VARIANT``. Each variant answers like the
-stub but puts one bad value in its responses: the ``entail`` value of every
-``nli`` response, or the first log-prob of every ``lm`` response.
+Usage: ``python bad_stub_scorer.py VARIANT [GOOD]``. Each variant answers
+like the stub but puts one bad value in its responses: the ``entail`` value
+of every ``nli`` response, or the first log-prob of every ``lm`` response.
+With ``GOOD``, the first ``GOOD`` responses are left as they are.
 """
 
 import json
@@ -24,11 +25,14 @@ VARIANTS = {
 
 def main() -> None:
     key, bad = VARIANTS[sys.argv[1]]
+    good = int(sys.argv[2]) if len(sys.argv) > 2 else 0
     for line in sys.stdin:
         if not line.strip():
             continue
         response = handle(line)
-        if key == "entail" and "entail" in response:
+        if good:
+            good -= 1
+        elif key == "entail" and "entail" in response:
             response["entail"] = bad
         elif key == "logprobs" and response.get("logprobs"):
             response["logprobs"][0] = bad

@@ -365,7 +365,7 @@ def test_criterion_06_filtering_spec(small_kb):
     templates = HypothesisTemplates({})
     scorer = TableNliScorer(table)
 
-    kept = entailment_filter(sentence, triples, templates, scorer, 0.7, small_kb)
+    kept = entailment_filter([sentence], [triples], templates, scorer, 0.7, small_kb)[0]
     hand_filtered = [t for t, s in zip(triples, scores) if s > 0.7]
     assert [k.triple for k in kept] == hand_filtered
     assert all(k.score > 0.7 for k in kept)
@@ -381,7 +381,9 @@ def test_criterion_06_filtering_spec(small_kb):
             (sentence.text, "London is the capital of United Kingdom."): 0.9,
         }
     )
-    kept_multi = entailment_filter(sentence, [capital], multi, two_scores, 0.7, small_kb)
+    (kept_multi,) = entailment_filter(
+        [sentence], [[capital]], multi, two_scores, 0.7, small_kb
+    )
     assert len(kept_multi) == 1 and kept_multi[0].score == 0.9
 
     # Monotonicity over a 0.0 -> 1.0 sweep.
@@ -391,8 +393,8 @@ def test_criterion_06_filtering_spec(small_kb):
         kept_now = {
             k.triple
             for k in entailment_filter(
-                sentence, triples, templates, scorer, threshold, small_kb
-            )
+                [sentence], [triples], templates, scorer, threshold, small_kb
+            )[0]
         }
         if previous is not None:
             assert kept_now <= previous

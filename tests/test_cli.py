@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import subprocess
 import sys
@@ -8,12 +9,15 @@ from pathlib import Path
 import pytest
 
 from factgen import cli
-from factgen.records import write_jsonl
-from factgen.scorers import ExternalScorerClient
+from factgen.kb import Triple, load_kb
+from factgen.pipeline import HypothesisTemplates
+from factgen.records import load_dataset, write_jsonl
+from factgen.scorers import NLI_WINDOW, ExternalScorerClient
 
 from .corpus import (
     CLI,
     kb_flags,
+    micro_corpus_records,
     read_jsonl_file as read_jsonl,
     run_cli,
     run_pipeline,
@@ -406,10 +410,11 @@ def test_score_rejects_duplicate_ids(kb_paths, tmp_path, capsys, duplicated):
     assert not report.exists()
 
 
-@pytest.mark.parametrize("stage", ["extract", "negatives"])
+@pytest.mark.parametrize("stage", ["extract", "negatives", "decode", "split"])
 def test_repeated_input_id_is_rejected(kb_paths, tmp_path, capsys, stage):
     # A later positive repeating a pool sentence's id once made negatives
-    # count that sentence's triples from the wrong record.
+    # count that sentence's triples from the wrong record, and decode wrote
+    # predictions that score then rejected.
     triple = {"head": "Q145", "pid": "P36", "tail": "Q84"}
     rows = [
         {"id": "s1", "text": "one", "spans": [], "triples": []},
@@ -419,7 +424,11 @@ def test_repeated_input_id_is_rejected(kb_paths, tmp_path, capsys, stage):
     data = tmp_path / "data.jsonl"
     write_jsonl(str(data), rows)
     out = tmp_path / "out.jsonl"
-    code = cli.main([stage, "--input", str(data), *kb_flags(kb_paths), "--out", str(out)])
+    if stage == "split":
+        flags = ["--out-dir", str(out)]
+    else:
+        flags = [*kb_flags(kb_paths), "--out", str(out)]
+    code = cli.main([stage, "--input", str(data), *flags])
     assert code == 1
     assert stage_error(capsys) == {
         "stage": stage,
@@ -456,19 +465,9 @@ def test_decode_reads_the_kb_only_to_build_a_missing_trie(tmp_path, mode):
     assert (out.read_bytes(), manifest.read_bytes()) == with_kb
 
 
-@pytest.mark.parametrize(
-    "stage, cache",
-    [
-        ("decode", b"not a trie cache"),
-        # A cache in the older TRI1 layout: the label "a".
-        ("decode", b"TRI1\x02\x00\x01\x00\x61\x00\x01"),
-        ("filter", None),
-    ],
-    ids=["decode", "decode-TRI1", "filter"],
-)
-def test_exec_scorer_is_closed_when_the_stage_fails(
-    kb_paths, tmp_path, capsys, monkeypatch, stage, cache
-):
+@pytest.fixture()
+def scorer_clients(monkeypatch):
+    """``(opened, closed)``: every scorer client made, and every one closed."""
     opened, closed = [], []
     from_spec, close = ExternalScorerClient.from_spec, ExternalScorerClient.close
 
@@ -482,6 +481,23 @@ def test_exec_scorer_is_closed_when_the_stage_fails(
 
     monkeypatch.setattr(ExternalScorerClient, "from_spec", staticmethod(recording_from_spec))
     monkeypatch.setattr(ExternalScorerClient, "close", recording_close)
+    return opened, closed
+
+
+@pytest.mark.parametrize(
+    "stage, cache",
+    [
+        ("decode", b"not a trie cache"),
+        # A cache in the older TRI1 layout: the label "a".
+        ("decode", b"TRI1\x02\x00\x01\x00\x61\x00\x01"),
+        ("filter", None),
+    ],
+    ids=["decode", "decode-TRI1", "filter"],
+)
+def test_exec_scorer_is_closed_when_the_stage_fails(
+    kb_paths, tmp_path, capsys, scorer_clients, stage, cache
+):
+    opened, closed = scorer_clients
     stub = Path(__file__).parent / "stub_scorer.py"
     data = tmp_path / "data.jsonl"
     if stage == "decode":
@@ -636,3 +652,234 @@ def test_manifest_contents_are_pinned(kb_paths, manifest_run, name):
     text = (manifest_run / name).read_text(encoding="utf-8")
     text = text.replace(str(manifest_run), "<run>").replace(kb_dir, "<kb>")
     assert json.loads(text) == PINNED_MANIFESTS[name]
+
+
+# -- the collector pause, pipelined filter, KB-free negatives ----------------
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("fails", [False, True], ids=["exit-0", "exit-1"])
+def test_main_pauses_the_collector_and_restores_it(
+    tmp_path, monkeypatch, capsys, collecting, fails
+):
+    data = tmp_path / "data.jsonl"
+    data.write_text("".join(json.dumps({"id": i}) + "\n" for i in range(4)))
+    seen = []
+    split_dataset = cli.split_dataset
+
+    def recording_split(*args, **kwargs):
+        seen.append(gc.isenabled())
+        if fails:
+            raise ValueError("boom")
+        return split_dataset(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "split_dataset", recording_split)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        code = cli.main(["split", "--input", str(data), "--out-dir", str(tmp_path / "s")])
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert code == (1 if fails else 0)
+    assert seen == [False]
+    assert after is collecting
+    if fails:
+        assert stage_error(capsys) == {"stage": "split", "error": "ValueError: boom"}
+
+
+def scaled_corpus(path: Path, copies: int) -> str:
+    """The micro corpus repeated ``copies`` times under fresh ids."""
+    write_jsonl(str(path), [
+        dict(record, id=f"{record['id']}-{copy}")
+        for copy in range(copies)
+        for record in micro_corpus_records()
+    ])
+    return str(path)
+
+
+def test_cyclic_garbage_after_a_stage_does_not_grow_with_input(kb_paths, tmp_path):
+    # The stages build no reference cycles per record: what the collector
+    # finds after a stage is the same for 20 and for 160 input sentences.
+    def cyclic_garbage(argv) -> int:
+        gc.collect()
+        gc.disable()
+        try:
+            assert cli.main(argv) == 0
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    found = {}
+    for copies in (1, 8):
+        run = tmp_path / f"x{copies}"
+        run.mkdir()
+        sentences = scaled_corpus(run / "sentences.jsonl", copies)
+        o = lambda name: str(run / name)  # noqa: E731
+        stages = {
+            "extract": ["--input", sentences, *kb_flags(kb_paths), "--out", o("ex.jsonl")],
+            "filter": ["--input", o("ex.jsonl"), *kb_flags(kb_paths), "--out", o("fi.jsonl")],
+            "negatives": ["--input", o("fi.jsonl"), *kb_flags(kb_paths), "--out", o("ds.jsonl")],
+            "split": ["--input", o("ds.jsonl"), "--out-dir", o("splits")],
+            "targets": ["--input", o("ds.jsonl"), *kb_flags(kb_paths), "--mode", "dual-head",
+                        "--out", o("targets.jsonl")],
+        }
+        found[copies] = {
+            stage: cyclic_garbage([stage, *argv]) for stage, argv in stages.items()
+        }
+        assert len(read_jsonl(o("ds.jsonl"))) == 16 * copies
+    assert found[8] == found[1]
+
+
+RECORDING_STUB = (
+    "import json, sys\n"
+    "sys.path.insert(0, sys.argv[2])\n"
+    "from stub_scorer import handle\n"
+    "with open(sys.argv[1], 'w', encoding='utf-8') as log:\n"
+    "    for line in sys.stdin:\n"
+    "        log.write(line)\n"
+    "        log.flush()\n"
+    "        sys.stdout.write(json.dumps(handle(line)) + '\\n')\n"
+    "        sys.stdout.flush()\n"
+)
+
+
+def test_filter_sends_the_per_triple_request_lines_in_order(kb_paths, tmp_path):
+    # More hypotheses than one window, two templates for P36: the stub must
+    # read exactly the lines a loop over sentences, triples and templates
+    # sends one round trip at a time.
+    templates = tmp_path / "templates.jsonl"
+    write_jsonl(str(templates), [
+        {"pid": "P36", "templates": ["{tail} is the capital of {head}.", "{head}: {tail}"]}
+    ])
+    extracted = tmp_path / "extracted.jsonl"
+    sentences = scaled_corpus(tmp_path / "sentences.jsonl", 8)
+    run_cli("extract", "--input", sentences, *kb_flags(kb_paths), "--out", extracted)
+    log = tmp_path / "requests.log"
+    recorder = tmp_path / "recording_scorer.py"
+    recorder.write_text(RECORDING_STUB, encoding="utf-8")
+    scorer = f"exec:{sys.executable} {recorder} {log} {Path(__file__).parent}"
+    out = tmp_path / "filtered.jsonl"
+    assert cli.main(
+        ["filter", "--input", str(extracted), *kb_flags(kb_paths), "--templates",
+         str(templates), "--threshold", "0.5", "--scorer", scorer, "--out", str(out)]
+    ) == 0
+
+    kb = load_kb(kb_paths["entities"], kb_paths["relations"], kb_paths["triples"])
+    rendering = HypothesisTemplates.load(str(templates))
+    dataset = load_dataset(str(extracted))
+    expected = [
+        json.dumps({"type": "nli", "premise": sentence.text, "hypothesis": hypothesis})
+        for sentence, triples in dataset
+        for triple in triples
+        for hypothesis in rendering.hypotheses_for(triple, kb)
+    ]
+    assert len(expected) > 2 * NLI_WINDOW
+    assert log.read_text(encoding="utf-8").splitlines() == expected
+    # Each score went back to its own triple: the stub scores
+    # (len(premise) + len(hypothesis)) % 10 / 10.
+    kept = [
+        [t for t in triples if max(
+            (len(sentence.text) + len(h)) % 10 / 10 for h in rendering.hypotheses_for(t, kb)
+        ) > 0.5]
+        for sentence, triples in dataset
+    ]
+    assert [
+        [Triple(t["head"], t["pid"], t["tail"]) for t in row["triples"]]
+        for row in read_jsonl(out)
+    ] == kept
+    assert 0 < sum(map(len, kept)) < sum(len(t) for _, t in dataset)
+
+
+def test_bad_entail_in_mid_window_fails_filter_and_closes_the_client(
+    kb_paths, tmp_path, capsys, scorer_clients
+):
+    opened, closed = scorer_clients
+    extracted = tmp_path / "extracted.jsonl"
+    sentences = scaled_corpus(tmp_path / "sentences.jsonl", 12)
+    run_cli("extract", "--input", sentences, *kb_flags(kb_paths), "--out", extracted)
+    stub = Path(__file__).parent / "bad_stub_scorer.py"
+    out = tmp_path / "filtered.jsonl"
+    # The first 70 responses are good, so the bad one is mid-way through
+    # the second window.
+    code = cli.main(
+        ["filter", "--input", str(extracted), *kb_flags(kb_paths),
+         "--scorer", f"exec:{sys.executable} {stub} nli-nan 70", "--out", str(out)]
+    )
+    assert code == 1
+    error = stage_error(capsys)
+    assert error["stage"] == "filter"
+    assert error["error"] == (
+        "ScorerProtocolError: nli response 'entail' must be a number in [0, 1], got nan"
+    )
+    assert len(opened) == 1 and closed == opened
+    assert opened[0]._transport.proc.returncode == 0
+    assert opened[0]._transport.proc.stdout.closed
+    assert not out.exists()
+
+
+def test_negatives_never_reads_the_kb(tmp_path):
+    kb = write_kb_fixture(tmp_path / "kb")
+    paths = run_pipeline(kb, tmp_path / "run")
+    out = tmp_path / "dataset.jsonl"
+    manifest = tmp_path / "dataset.jsonl.manifest.json"
+    argv = ["negatives", "--input", str(paths["filtered"]), *kb_flags(kb),
+            "--neg-fraction", "0.5", "--seed", "7", "--out", str(out)]
+    assert cli.main(argv) == 0
+    with_kb = out.read_bytes(), manifest.read_bytes()
+    assert with_kb[0] == paths["dataset"].read_bytes()
+    for path in kb.values():
+        Path(path).unlink()
+    assert cli.main(argv) == 0
+    assert (out.read_bytes(), manifest.read_bytes()) == with_kb
+
+
+@pytest.mark.parametrize(
+    "mode, calls",
+    [
+        ("standard", {"linearize": 2, "entity_linking_chain": 0}),
+        ("entity-prompt", {"linearize": 0, "entity_linking_chain": 0}),
+        ("artificial-prompt", {"linearize": 2, "entity_linking_chain": 2}),
+        ("dual-head", {"linearize": 2, "entity_linking_chain": 2}),
+    ],
+)
+def test_targets_computes_only_what_its_mode_reads(kb_paths, tmp_path, monkeypatch, mode, calls):
+    made = dict.fromkeys(calls, 0)
+    for name in calls:
+        def counted(*args, _name=name, _func=getattr(cli, name)):
+            made[_name] += 1
+            return _func(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    triple = {"head": "Q145", "pid": "P36", "tail": "Q84"}
+    spans = [
+        {"start": 4, "end": 6, "surface": "UK", "link": "Q145"},
+        {"start": 13, "end": 19, "surface": "London", "link": "Q84"},
+    ]
+    text = "The UK named London its capital centuries ago."
+    data = tmp_path / "dataset.jsonl"
+    write_jsonl(str(data), [
+        {"id": "a", "text": text, "spans": spans, "triples": [triple]},
+        {"id": "b", "text": text, "spans": spans, "triples": []},
+    ])
+    out = tmp_path / "targets.jsonl"
+    argv = ["targets", "--input", str(data), *kb_flags(kb_paths), "--mode", mode,
+            "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert made == calls
+
+
+@pytest.mark.parametrize("stage", ["decode", "split"])
+def test_decode_and_split_reject_a_record_without_id(kb_paths, tmp_path, capsys, stage):
+    data = tmp_path / "data.jsonl"
+    write_jsonl(str(data), [{"id": "x", "input": "one"}, {"input": "two"}])
+    if stage == "decode":
+        argv = ["decode", "--input", str(data), *kb_flags(kb_paths), "--mode",
+                "unconstrained", "--out", str(tmp_path / "pred.jsonl")]
+    else:
+        argv = ["split", "--input", str(data), "--out-dir", str(tmp_path / "splits")]
+    assert cli.main(argv) == 1
+    assert stage_error(capsys) == {
+        "stage": stage,
+        "error": f"RecordError: {data}:2: record lacks 'id'",
+    }

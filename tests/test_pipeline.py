@@ -10,6 +10,7 @@ from factgen.kb import Triple
 from factgen.linearize import LinkedSentence, MentionSpan
 from factgen.pipeline import (
     HypothesisTemplates,
+    PipelineError,
     SamplingError,
     SplitError,
     TemplateError,
@@ -154,13 +155,13 @@ def test_constant_scorers(small_kb, capital_sentence):
     triples = [Triple("Q145", "P36", "Q84")]
     templates = HypothesisTemplates({})
     keep_all = entailment_filter(
-        capital_sentence, triples, templates, TableNliScorer(default=1.0), 0.7, small_kb
+        [capital_sentence], [triples], templates, TableNliScorer(default=1.0), 0.7, small_kb
     )
-    assert [k.triple for k in keep_all] == triples
+    assert [[k.triple for k in row] for row in keep_all] == [triples]
     keep_none = entailment_filter(
-        capital_sentence, triples, templates, TableNliScorer(default=0.0), 0.7, small_kb
+        [capital_sentence], [triples], templates, TableNliScorer(default=0.0), 0.7, small_kb
     )
-    assert keep_none == []
+    assert keep_none == [[]]
 
 
 def test_max_over_hypotheses_beats_threshold(small_kb, capital_sentence):
@@ -174,7 +175,9 @@ def test_max_over_hypotheses_beats_threshold(small_kb, capital_sentence):
             (capital_sentence.text, "London is the capital of United Kingdom."): 0.9,
         }
     )
-    kept = entailment_filter(capital_sentence, [triple], templates, scorer, 0.7, small_kb)
+    (kept,) = entailment_filter(
+        [capital_sentence], [[triple]], templates, scorer, 0.7, small_kb
+    )
     assert len(kept) == 1
     assert kept[0].score == 0.9
 
@@ -184,17 +187,17 @@ def test_threshold_is_strictly_above(small_kb, capital_sentence):
     templates = HypothesisTemplates({})
     hypothesis = default_hypothesis(small_kb, triple)
     scorer = TableNliScorer({(capital_sentence.text, hypothesis): 0.7})
-    assert (
-        entailment_filter(capital_sentence, [triple], templates, scorer, 0.7, small_kb)
-        == []
-    )
+    assert entailment_filter(
+        [capital_sentence], [[triple]], templates, scorer, 0.7, small_kb
+    ) == [[]]
 
 
 @pytest.mark.parametrize("threshold", [-0.1, 1.5, float("nan")])
 def test_threshold_outside_unit_interval_is_rejected(small_kb, capital_sentence, threshold):
     with pytest.raises(ValueError, match="threshold must lie in"):
         entailment_filter(
-            capital_sentence, [], HypothesisTemplates({}), TableNliScorer(), threshold, small_kb
+            [capital_sentence], [[]], HypothesisTemplates({}), TableNliScorer(), threshold,
+            small_kb,
         )
 
 
@@ -221,7 +224,7 @@ def test_stub_table_matches_hand_filter(small_kb):
         for t, s in zip(triples, scores)
     }
     scorer = TableNliScorer(table)
-    kept = entailment_filter(sentence, triples, templates, scorer, 0.7, small_kb)
+    kept = entailment_filter([sentence], [triples], templates, scorer, 0.7, small_kb)[0]
     expected = [t for t, s in zip(triples, scores) if s > 0.7]
     assert [k.triple for k in kept] == expected
 
@@ -241,12 +244,77 @@ def test_filter_monotone_in_threshold(small_kb, capital_sentence):
         kept = {
             k.triple
             for k in entailment_filter(
-                capital_sentence, triples, templates, scorer, threshold, small_kb
-            )
+                [capital_sentence], [triples], templates, scorer, threshold, small_kb
+            )[0]
         }
         if previous is not None:
             assert kept <= previous
         previous = kept
+
+
+class RecordingNliScorer(TableNliScorer):
+    """A table scorer that keeps the pairs of every batch it is asked."""
+
+    def __init__(self, table, **kwargs):
+        super().__init__(table, **kwargs)
+        self.batches = []
+
+    def entail_batch(self, pairs):
+        self.batches.append(list(pairs))
+        return super().entail_batch(pairs)
+
+
+def test_filter_scores_every_sentence_in_one_batch(small_kb):
+    # Three sentences, one without triples, two templates for P36: the one
+    # batch holds every hypothesis in sentence, triple and template order,
+    # and each sentence keeps only its own triples above the threshold.
+    first = sentence_with_links(["Q145", "Q84"], sid="a")
+    empty = sentence_with_links([None], sid="b")
+    last = sentence_with_links(["Q38", "Q220"], sid="c")
+    templates = HypothesisTemplates({"P36": ["{head} / {tail}", "{tail} of {head}"]})
+    triples = [
+        [Triple("Q145", "P36", "Q84"), Triple("Q84", "P17", "Q145")],
+        [],
+        [Triple("Q38", "P36", "Q220")],
+    ]
+    table = {
+        (first.text, "London of United Kingdom"): 0.9,
+        (first.text, "London country United Kingdom."): 0.6,
+        (last.text, "Italy / Rome"): 0.8,
+    }
+    scorer = RecordingNliScorer(table)
+    kept = entailment_filter(
+        [first, empty, last], triples, templates, scorer, 0.7, small_kb
+    )
+    assert scorer.batches == [[
+        (first.text, "United Kingdom / London"),
+        (first.text, "London of United Kingdom"),
+        (first.text, "London country United Kingdom."),
+        (last.text, "Italy / Rome"),
+        (last.text, "Rome of Italy"),
+    ]]
+    assert [[(k.triple, k.score) for k in row] for row in kept] == [
+        [(triples[0][0], 0.9)], [], [(triples[2][0], 0.8)]
+    ]
+
+
+def test_filter_rejects_mismatched_inputs_and_short_score_lists(small_kb, capital_sentence):
+    triple = Triple("Q145", "P36", "Q84")
+    templates = HypothesisTemplates({})
+    with pytest.raises(ValueError, match="2 sentences but 1 triple lists"):
+        entailment_filter(
+            [capital_sentence, capital_sentence], [[triple]], templates,
+            TableNliScorer(), 0.7, small_kb,
+        )
+
+    class ShortScorer:
+        def entail_batch(self, pairs):
+            return [1.0] * (len(pairs) - 1)
+
+    with pytest.raises(PipelineError, match="gave 1 scores for 2 hypotheses"):
+        entailment_filter(
+            [capital_sentence], [[triple, triple]], templates, ShortScorer(), 0.7, small_kb
+        )
 
 
 def test_template_placeholders_are_validated():

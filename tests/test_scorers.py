@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from factgen.scorers import (
+    NLI_WINDOW,
     ExternalLmScorer,
     ExternalNliScorer,
     ExternalScorerClient,
@@ -81,8 +82,8 @@ def test_ngram_rejects_bad_order(tok):
 
 def test_table_nli_scorer_lookup_and_default():
     scorer = TableNliScorer({("p", "h"): 0.9}, default=0.2)
-    assert scorer.entail("p", "h") == 0.9
-    assert scorer.entail("p", "other") == 0.2
+    assert scorer.entail_batch([("p", "h"), ("p", "other")]) == [0.9, 0.2]
+    assert scorer.entail_batch([]) == []
 
 
 # -- external protocol: child process ----------------------------------------------
@@ -103,7 +104,7 @@ def test_exec_lm_scorer_roundtrip(exec_client):
 
 def test_exec_nli_scorer_roundtrip(exec_client):
     scorer = ExternalNliScorer(exec_client)
-    assert scorer.entail("abc", "defg") == stub_nli_entail("abc", "defg")
+    assert scorer.entail_batch([("abc", "defg")]) == [stub_nli_entail("abc", "defg")]
 
 
 def test_exec_many_requests_in_order(exec_client):
@@ -153,7 +154,7 @@ def test_protocol_error_on_bad_entail_value(variant):
     spec = f"exec:{sys.executable} {BAD_STUB} {variant}"
     with ExternalScorerClient.from_spec(spec) as client:
         with pytest.raises(ScorerProtocolError, match=r"^nli response 'entail' must be"):
-            client.nli_entail("premise", "hypothesis")
+            client.nli_entail_batch([("premise", "hypothesis")])
 
 
 @pytest.mark.parametrize("variant", ["lm-null", "lm-string", "lm-bool"])
@@ -175,8 +176,8 @@ def test_entail_bounds_are_inclusive(tmp_path):
         encoding="utf-8",
     )
     with ExternalScorerClient.from_spec(f"exec:{sys.executable} {edges}") as client:
-        assert client.nli_entail("p", "h") == 0.0
-        assert client.nli_entail("p", "h") == 1.0
+        assert client.nli_entail_batch([("p", "h")]) == [0.0]
+        assert client.nli_entail_batch([("p", "h")]) == [1.0]
 
 
 # -- external protocol: tcp ---------------------------------------------------------
@@ -212,4 +213,50 @@ def test_tcp_scorer_roundtrip(tcp_server):
     host, port = tcp_server
     with ExternalScorerClient.from_spec(f"tcp:{host}:{port}") as client:
         assert client.lm_logprobs([5], [2, 9]) == [stub_lm_logprob(2), stub_lm_logprob(9)]
-        assert client.nli_entail("pp", "hh") == stub_nli_entail("pp", "hh")
+        assert client.nli_entail_batch([("pp", "hh")]) == [stub_nli_entail("pp", "hh")]
+
+
+def nli_pairs(count: int) -> list[tuple[str, str]]:
+    """Pairs whose stub scores differ from their neighbours', so a response
+    read out of order or against the wrong request shows."""
+    return [("p" * (i % 7), "h" * (i % 5 + i // 35)) for i in range(count)]
+
+
+def test_tcp_pipelined_nli_roundtrip(tcp_server):
+    # Three windows, the last one partial, then an lm request on the same
+    # connection: every response is matched to its own request.
+    host, port = tcp_server
+    pairs = nli_pairs(2 * NLI_WINDOW + 5)
+    with ExternalScorerClient.from_spec(f"tcp:{host}:{port}") as client:
+        assert client.nli_entail_batch(pairs) == [stub_nli_entail(*p) for p in pairs]
+        assert client.lm_logprobs([5], [3]) == [stub_lm_logprob(3)]
+        assert client.nli_entail_batch([]) == []
+
+
+GARBLING_STUB = (
+    "import json, sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "from stub_scorer import handle\n"
+    "for count, line in enumerate(sys.stdin):\n"
+    "    reply = 'not json' if count == 70 else json.dumps(handle(line))\n"
+    "    sys.stdout.write(reply + '\\n'); sys.stdout.flush()\n"
+)
+
+
+@pytest.mark.parametrize("bad", ["nan", "garbled"])
+def test_bad_response_mid_window_leaves_no_response_unread(tmp_path, bad):
+    # The 71st response of a 100-request batch is bad: the batch fails
+    # naming it, and every response of its window has been read, so the
+    # next request on the client gets its own answer.
+    if bad == "nan":
+        spec = f"exec:{sys.executable} {BAD_STUB} nli-nan 70"
+        message = r"^nli response 'entail' .* nan"
+    else:
+        garbling = tmp_path / "garbling_scorer.py"
+        garbling.write_text(GARBLING_STUB, encoding="utf-8")
+        spec = f"exec:{sys.executable} {garbling} {STUB.parent}"
+        message = r"^bad scorer response line: 'not json\\n'"
+    with ExternalScorerClient.from_spec(spec) as client:
+        with pytest.raises(ScorerProtocolError, match=message):
+            client.nli_entail_batch(nli_pairs(100))
+        assert client.lm_logprobs([], [4]) == [stub_lm_logprob(4)]

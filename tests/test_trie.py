@@ -289,6 +289,15 @@ def test_cache_rejects_a_dead_end():
     assert ConstraintTrie.from_bytes(cache_blob([0, 1, 1], [97], [0, 1])).label_count == 1
 
 
+def test_cache_rejects_a_terminal_root():
+    # A terminal root is an empty label, which build_trie refuses: a decoder
+    # could close a subject label right after <sub>.
+    for first, tokens in (([0, 1, 1], [97]), ([0, 0], [])):
+        blob = cache_blob(first, tokens, [1] * len(first[1:]))
+        with pytest.raises(TrieCacheError, match="root is terminal"):
+            ConstraintTrie.from_bytes(blob)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     labels=st.lists(st.text("abcd", min_size=1, max_size=5), max_size=8),

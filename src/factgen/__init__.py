@@ -18,7 +18,7 @@ from .decode import (
     beam_search,
 )
 from .evaluation import Counts, EvalReport, resolve_raw_triple, score_predictions
-from .kb import Entity, KbIntegrityError, KbLoadError, KbStore, Relation, Triple, load_kb
+from .kb import KbIntegrityError, KbLoadError, KbStore, Triple, load_kb
 from .linearize import (
     DualTargetInstance,
     LinearizedTarget,

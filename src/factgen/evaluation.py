@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
-from .kb import KbStore, Triple, is_year_literal
+from .kb import KbStore, Triple
 from .linearize import RawTriple
 
 
@@ -72,20 +72,14 @@ class EvalReport:
 def resolve_raw_triple(raw: RawTriple, kb: KbStore) -> Triple | None:
     """Map a label-level triple to KB ids; None when any part is unknown.
 
-    Tail labels try the entity title first and fall back to the year
-    literal reading, matching how year tails are stored.
+    Tail labels resolve by :meth:`KbStore.resolve_value`: an entity title
+    first, then the year literal reading, matching how year tails are stored.
     """
     head = kb.resolve_title(raw.head_label)
-    if head is None:
-        return None
     relation = kb.resolve_relation_label(raw.relation_label)
-    if relation is None:
+    tail = kb.resolve_value(raw.tail_label)
+    if head is None or relation is None or tail is None:
         return None
-    tail = kb.resolve_title(raw.tail_label)
-    if tail is None:
-        if not is_year_literal(raw.tail_label):
-            return None
-        tail = raw.tail_label
     return Triple(head, relation, tail)
 
 

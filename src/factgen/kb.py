@@ -1,9 +1,14 @@
 """In-memory knowledge-base store: entity/relation resolution and pair lookup.
 
-The store indexes triples by directed (head, tail) pair so that distant
-supervision can ask "which relations hold between these two entities?" in
-O(1). Tail values may be entity ids or bare year literals; year literals are
-kept as raw strings because dates carry no entity id of their own.
+The store is four plain string maps (qid <-> title, pid <-> label) and an
+index of triples by directed (head, tail) pair, so that distant supervision
+can ask "which relations hold between these two entities?" in O(1).
+
+A triple's tail value is an entity qid or a bare year literal; year literals
+are kept as raw strings because dates carry no entity id of their own. A qid
+may therefore never read as a year. :meth:`KbStore.value_label` and its
+inverse :meth:`KbStore.resolve_value` are the one place that rule is
+applied: a value's label is the entity title, or the year itself.
 """
 
 from __future__ import annotations
@@ -29,20 +34,8 @@ class KbLoadError(KbError):
 
 
 class KbIntegrityError(KbError):
-    """Duplicate identifier or dangling reference in the loaded data."""
-
-
-@dataclass(frozen=True)
-class Entity:
-    qid: str
-    title: str
-
-
-@dataclass(frozen=True)
-class Relation:
-    pid: str
-    label: str
-    description: str = ""
+    """Duplicate identifier, year-like qid or dangling reference in the
+    loaded data."""
 
 
 @dataclass(frozen=True, order=True)
@@ -63,50 +56,47 @@ class KbStore:
     """
 
     def __init__(self) -> None:
-        self._by_qid: dict[str, Entity] = {}
-        self._by_title: dict[str, Entity] = {}
-        self._rel_by_pid: dict[str, Relation] = {}
-        self._rel_by_label: dict[str, Relation] = {}
+        self._title_of: dict[str, str] = {}
+        self._qid_of: dict[str, str] = {}
+        self._label_of: dict[str, str] = {}
+        self._pid_of: dict[str, str] = {}
         self._pairs: dict[tuple[str, str], set[str]] = {}
-        self._triple_count = 0
 
     # -- construction ------------------------------------------------------
 
     def _add_entity(self, qid: str, title: str) -> None:
         if not qid or not title:
             raise KbIntegrityError(f"entity with empty qid or title: {(qid, title)!r}")
-        if qid in self._by_qid:
+        if is_year_literal(qid):
+            raise KbIntegrityError(f"entity qid {qid!r} reads as a year literal")
+        if qid in self._title_of:
             raise KbIntegrityError(f"duplicate entity qid {qid!r}")
-        if title in self._by_title:
+        if title in self._qid_of:
             raise KbIntegrityError(f"duplicate entity title {title!r}")
-        entity = Entity(qid, title)
-        self._by_qid[qid] = entity
-        self._by_title[title] = entity
+        self._title_of[qid] = title
+        self._qid_of[title] = qid
 
-    def _add_relation(self, pid: str, label: str, description: str = "") -> None:
+    def _add_relation(self, pid: str, label: str, _description: str) -> None:
+        # The description column is required in the file but not kept.
         if not pid or not label:
             raise KbIntegrityError(f"relation with empty pid or label: {(pid, label)!r}")
-        if pid in self._rel_by_pid:
+        if pid in self._label_of:
             raise KbIntegrityError(f"duplicate relation pid {pid!r}")
-        if label in self._rel_by_label:
+        if label in self._pid_of:
             raise KbIntegrityError(f"duplicate relation label {label!r}")
-        relation = Relation(pid, label, description)
-        self._rel_by_pid[pid] = relation
-        self._rel_by_label[label] = relation
+        self._label_of[pid] = label
+        self._pid_of[label] = pid
 
     def _add_triple(self, head: str, pid: str, tail: str) -> None:
-        if head not in self._by_qid:
+        if head not in self._title_of:
             raise KbIntegrityError(f"triple head {head!r} is not a known entity")
-        if pid not in self._rel_by_pid:
+        if pid not in self._label_of:
             raise KbIntegrityError(f"triple relation {pid!r} is not a known relation")
-        if tail not in self._by_qid and not is_year_literal(tail):
+        if self.value_label(tail) is None:
             raise KbIntegrityError(
                 f"triple tail {tail!r} is neither a known entity nor a year literal"
             )
-        pids = self._pairs.setdefault((head, tail), set())
-        if pid not in pids:
-            pids.add(pid)
-            self._triple_count += 1
+        self._pairs.setdefault((head, tail), set()).add(pid)
 
     @classmethod
     def from_records(
@@ -129,24 +119,33 @@ class KbStore:
 
     def resolve_title(self, title: str) -> str | None:
         """Entity title -> qid, or None when the title is unknown."""
-        entity = self._by_title.get(title)
-        return entity.qid if entity else None
+        return self._qid_of.get(title)
 
     def entity_label(self, qid: str) -> str | None:
         """Entity qid -> title, or None when the qid is unknown."""
-        entity = self._by_qid.get(qid)
-        return entity.title if entity else None
+        return self._title_of.get(qid)
 
     def relation_label(self, pid: str) -> str | None:
-        relation = self._rel_by_pid.get(pid)
-        return relation.label if relation else None
+        return self._label_of.get(pid)
 
     def resolve_relation_label(self, label: str) -> str | None:
-        relation = self._rel_by_label.get(label)
-        return relation.pid if relation else None
+        return self._pid_of.get(label)
 
-    def relation(self, pid: str) -> Relation | None:
-        return self._rel_by_pid.get(pid)
+    def value_label(self, value: str) -> str | None:
+        """Triple value -> label: an entity's title, or a year literal as
+        it is; None for anything else."""
+        title = self._title_of.get(value)
+        if title is not None:
+            return title
+        return value if is_year_literal(value) else None
+
+    def resolve_value(self, label: str) -> str | None:
+        """Inverse of :meth:`value_label`: a title's qid first (a title may
+        read as a year), then the year literal itself; else None."""
+        qid = self._qid_of.get(label)
+        if qid is not None:
+            return qid
+        return label if is_year_literal(label) else None
 
     def relations_between(self, head: str, tail: str) -> set[str]:
         """Pids of stored triples with exactly this directed (head, tail).
@@ -156,18 +155,18 @@ class KbStore:
         return set(self._pairs.get((head, tail), ()))
 
     def entity_titles(self) -> Iterator[str]:
-        return iter(self._by_title)
+        return iter(self._qid_of)
 
     def relation_labels(self) -> Iterator[str]:
-        return iter(self._rel_by_label)
+        return iter(self._pid_of)
 
     @property
     def num_entities(self) -> int:
-        return len(self._by_qid)
+        return len(self._title_of)
 
     @property
     def num_relations(self) -> int:
-        return len(self._rel_by_pid)
+        return len(self._label_of)
 
     @property
     def num_pairs(self) -> int:
@@ -175,7 +174,7 @@ class KbStore:
 
     @property
     def num_triples(self) -> int:
-        return self._triple_count
+        return sum(map(len, self._pairs.values()))
 
 
 def _read_tsv(path: str, n_fields: int) -> Iterator[tuple[int, list[str]]]:
@@ -196,25 +195,22 @@ def _read_tsv(path: str, n_fields: int) -> Iterator[tuple[int, list[str]]]:
 def load_kb(entities_path: str, relations_path: str, triples_path: str) -> KbStore:
     """Load a store from the three TSV files.
 
-    entities: ``qid<TAB>title``; relations: ``pid<TAB>label<TAB>description``;
-    triples: ``head_qid<TAB>pid<TAB>tail_value``. Duplicate triples are
-    deduplicated silently; duplicate qids/titles/pids and dangling triple
-    references raise :class:`KbIntegrityError` with the offending location.
+    entities: ``qid<TAB>title``; relations: ``pid<TAB>label<TAB>description``
+    (the description is required but not kept); triples:
+    ``head_qid<TAB>pid<TAB>tail_value``. Duplicate triples are deduplicated
+    silently; duplicate qids/titles/pids, a qid that reads as a year and
+    dangling triple references raise :class:`KbIntegrityError` with the
+    offending location.
     """
     store = KbStore()
-    for lineno, (qid, title) in _read_tsv(entities_path, 2):
-        try:
-            store._add_entity(qid, title)
-        except KbIntegrityError as exc:
-            raise KbIntegrityError(f"{entities_path}:{lineno}: {exc}") from None
-    for lineno, (pid, label, description) in _read_tsv(relations_path, 3):
-        try:
-            store._add_relation(pid, label, description)
-        except KbIntegrityError as exc:
-            raise KbIntegrityError(f"{relations_path}:{lineno}: {exc}") from None
-    for lineno, (head, pid, tail) in _read_tsv(triples_path, 3):
-        try:
-            store._add_triple(head, pid, tail)
-        except KbIntegrityError as exc:
-            raise KbIntegrityError(f"{triples_path}:{lineno}: {exc}") from None
+    for path, n_fields, add in (
+        (entities_path, 2, store._add_entity),
+        (relations_path, 3, store._add_relation),
+        (triples_path, 3, store._add_triple),
+    ):
+        for lineno, fields in _read_tsv(path, n_fields):
+            try:
+                add(*fields)
+            except KbIntegrityError as exc:
+                raise KbIntegrityError(f"{path}:{lineno}: {exc}") from None
     return store

@@ -155,15 +155,6 @@ def order_triples(triples: Sequence[Triple], sentence: LinkedSentence) -> list[T
     return [triple for _, triple in keyed]
 
 
-def _tail_label(kb: KbStore, tail: str) -> str:
-    label = kb.entity_label(tail)
-    if label is not None:
-        return label
-    if is_year_literal(tail):
-        return tail
-    raise LinearizeError(f"cannot resolve tail {tail!r}")
-
-
 def linearize_labels(triples: Iterable[RawTriple]) -> str:
     """Serialize label-level triples into the delimiter format."""
     blocks = [
@@ -178,7 +169,7 @@ def linearize(ordered: Sequence[Triple], kb: KbStore) -> LinearizedTarget:
     """Serialize resolved triples; an empty list yields the empty string.
 
     Heads and relations must resolve in the store; tails may also be year
-    literals, which pass through verbatim.
+    literals, which pass through verbatim (:meth:`KbStore.value_label`).
     """
     raws = []
     for triple in ordered:
@@ -188,7 +179,10 @@ def linearize(ordered: Sequence[Triple], kb: KbStore) -> LinearizedTarget:
         relation = kb.relation_label(triple.relation)
         if relation is None:
             raise LinearizeError(f"cannot resolve relation {triple.relation!r}")
-        raws.append(RawTriple(head, relation, _tail_label(kb, triple.tail)))
+        tail = kb.value_label(triple.tail)
+        if tail is None:
+            raise LinearizeError(f"cannot resolve tail {triple.tail!r}")
+        raws.append(RawTriple(head, relation, tail))
     return LinearizedTarget(linearize_labels(raws), len(raws))
 
 
@@ -243,12 +237,9 @@ def entity_linking_chain(
     for span in sentence.spans:
         if span.link is None or span.link not in contributing:
             continue
-        if span.is_year:
-            label = span.link
-        else:
-            label = kb.entity_label(span.link)
-            if label is None:
-                raise LinearizeError(f"cannot resolve span link {span.link!r}")
+        label = kb.value_label(span.link)
+        if label is None:
+            raise LinearizeError(f"cannot resolve span link {span.link!r}")
         parts.append(f"{span.surface} # {label}")
     return " | ".join(parts)
 

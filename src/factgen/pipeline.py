@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence, TypeVar
 
-from .kb import KbStore, Triple, is_year_literal
+from .kb import KbStore, Triple
 from .linearize import LinkedSentence, order_triples
 from .scorers import NliScorer
 
@@ -141,11 +141,9 @@ class HypothesisTemplates:
         return cls(by_pid)
 
     def _label(self, kb: KbStore, value: str) -> str:
-        label = kb.entity_label(value)
+        label = kb.value_label(value)
         if label is not None:
             return label
-        if is_year_literal(value):
-            return value
         raise TemplateError(f"cannot resolve {value!r} for hypothesis rendering")
 
     def hypotheses_for(self, triple: Triple, kb: KbStore) -> list[str]:

@@ -3,7 +3,8 @@
 Input sentences arrive as ``{"id", "text", "spans": [...], "url_domain"}``
 where each span has offsets, a surface, and either a ``link`` (entity id)
 or a ``date`` (surface form mapped to a year at ingestion). Dataset records
-add resolved triples and the negative flag; training-instance records carry
+add resolved triples and the negative flag; their spans are parsed by the
+same rule as input spans. Training-instance records carry
 one target or the two-headed pair; prediction records carry the generated
 linearized string.
 """
@@ -81,6 +82,8 @@ def _load_unique(
 
 
 def _span_from_input(raw: Mapping, context: str) -> MentionSpan:
+    if type(raw) is not dict:
+        raise RecordError(f"{context}: span must be an object, got {raw!r}")
     try:
         start, end, surface = raw["start"], raw["end"], raw["surface"]
     except KeyError as exc:
@@ -91,7 +94,12 @@ def _span_from_input(raw: Mapping, context: str) -> MentionSpan:
     link = raw.get("link")
     if link is None and "date" in raw:
         link = map_date_to_year(str(raw["date"]))
-    return MentionSpan(start=start, end=end, surface=surface, link=link)
+    elif link is not None and type(link) is not str:
+        raise RecordError(f"{context}: link must be str or null, got {link!r}")
+    try:
+        return MentionSpan(start=start, end=end, surface=surface, link=link)
+    except ValueError as exc:
+        raise RecordError(f"{context}: {exc}") from None
 
 
 def sentence_from_input_record(row: Mapping, context: str = "<record>") -> LinkedSentence:
@@ -159,21 +167,19 @@ def parse_dataset_record(
     try:
         text = row["text"]
         _check_type(context, "text", text, str)
-        spans = tuple(
-            MentionSpan(
-                start=s["start"], end=s["end"], surface=s["surface"], link=s.get("link")
-            )
-            for s in row.get("spans", ())
-        )
+        spans = tuple(_span_from_input(s, context) for s in row.get("spans", ()))
         sentence = LinkedSentence(
             text=text,
             spans=spans,
             is_negative=bool(row.get("is_negative", False)),
             id=str(row["id"]),
         )
-        triples = [
-            Triple(t["head"], t["pid"], t["tail"]) for t in row.get("triples", ())
-        ]
+        triples = []
+        for t in row.get("triples", ()):
+            fields = t["head"], t["pid"], t["tail"]
+            for name, value in zip(("head", "pid", "tail"), fields):
+                _check_type(context, name, value, str)
+            triples.append(Triple(*fields))
     except (KeyError, ValueError, TypeError) as exc:
         raise RecordError(f"{context}: {exc}") from None
     return sentence, triples

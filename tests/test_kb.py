@@ -1,8 +1,14 @@
 from __future__ import annotations
 
-import pytest
+import re
 
-from factgen.kb import KbIntegrityError, KbLoadError, KbStore, load_kb
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from factgen.evaluation import resolve_raw_triple
+from factgen.kb import KbIntegrityError, KbLoadError, KbStore, Triple, load_kb
+from factgen.linearize import linearize, parse_linearized
 
 
 def write_kb_files(tmp_path, entities, relations, triples):
@@ -139,6 +145,28 @@ def test_duplicate_identifiers_are_integrity_errors(tmp_path, entities, relation
         load_kb(*paths)
 
 
+def test_qid_that_reads_as_a_year_names_its_line(tmp_path):
+    paths = write_kb_files(
+        tmp_path, [("Q1", "Alpha"), ("1999", "Foo")], [("P1", "founded", "")], []
+    )
+    with pytest.raises(
+        KbIntegrityError, match=r"entities\.tsv:2: entity qid '1999' reads as a year literal"
+    ):
+        load_kb(*paths)
+
+
+def test_title_that_reads_as_a_year_resolves_to_its_entity():
+    store = KbStore.from_records(
+        entities=[("Q1", "Alpha"), ("Q2", "1917")],
+        relations=[("P1", "r", "")],
+        triples=[("Q1", "P1", "Q2"), ("Q1", "P1", "1917")],
+    )
+    assert store.resolve_value("1917") == "Q2"
+    assert store.value_label("Q2") == "1917"
+    assert store.value_label("1917") == "1917"
+    assert store.relations_between("Q1", "1917") == {"P1"}
+
+
 def test_dangling_triple_reference_is_integrity_error(tmp_path):
     paths = write_kb_files(
         tmp_path, [("Q1", "A")], [("P1", "r", "")], [("Q1", "P1", "Q404")]
@@ -154,3 +182,60 @@ def test_titles_are_case_significant():
     assert store.resolve_title("Apple") == "Q1"
     assert store.resolve_title("apple") == "Q2"
     assert store.resolve_title("APPLE") is None
+
+
+def _is_year(value: str) -> bool:
+    return re.fullmatch(r"[0-9]{1,4}", value) is not None
+
+
+# Labels that survive linearize/parse_linearized: trimmed, no delimiters.
+_labels = st.text(alphabet="ab1 ", min_size=1, max_size=5).filter(
+    lambda s: s == s.strip() and not _is_year(s)
+)
+_years = st.from_regex(r"[0-9]{1,4}", fullmatch=True)
+
+
+@st.composite
+def small_kbs(draw):
+    titles = draw(st.lists(_labels, min_size=1, max_size=6, unique=True))
+    labels = draw(st.lists(_labels, min_size=1, max_size=3, unique=True))
+    qids = [f"Q{i}" for i in range(len(titles))]
+    pids = [f"P{i}" for i in range(len(labels))]
+    tails = st.one_of(st.sampled_from(qids), _years)
+    triples = draw(
+        st.lists(st.tuples(st.sampled_from(qids), st.sampled_from(pids), tails), max_size=8)
+    )
+    probes = draw(st.lists(st.one_of(_years, st.text(alphabet="Q01ab ", max_size=4))))
+    entities = list(zip(qids, titles))
+    relations = [(pid, label, "") for pid, label in zip(pids, labels)]
+    return entities, relations, triples, probes
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(small_kbs())
+def test_value_rule_matches_bruteforce_oracle(case):
+    entities, relations, triple_rows, probes = case
+    store = KbStore.from_records(entities, relations, triple_rows)
+
+    def oracle_label(value):
+        for qid, title in entities:
+            if value == qid:
+                return title
+        return value if _is_year(value) else None
+
+    def oracle_resolve(label):
+        for qid, title in entities:
+            if label == title:
+                return qid
+        return label if _is_year(label) else None
+
+    for qid, title in entities:
+        assert store.value_label(qid) == title
+        assert store.resolve_value(title) == qid
+    for value in probes + [title for _, title in entities]:
+        assert store.value_label(value) == oracle_label(value)
+        assert store.resolve_value(value) == oracle_resolve(value)
+
+    triples = sorted({Triple(*row) for row in triple_rows})
+    parsed = parse_linearized(linearize(triples, store).target_text)
+    assert [resolve_raw_triple(raw, store) for raw in parsed] == triples

@@ -115,6 +115,11 @@ def _span(**fields):
     return {"id": "s", "text": "ab", "spans": [{"start": 0, "end": 1, "surface": "a", **fields}]}
 
 
+def _triple(**fields):
+    triple = {"head": "Q1", "pid": "P1", "tail": "Q2", **fields}
+    return {"id": "t", "text": "ab", "triples": [triple]}
+
+
 @pytest.mark.parametrize(
     "loader, row, message",
     [
@@ -122,15 +127,32 @@ def _span(**fields):
         (load_input_sentences, _span(start=0.0), "start must be int, got 0.0"),
         (load_input_sentences, _span(end=True), "end must be int, got True"),
         (load_input_sentences, _span(surface=None), "surface must be str, got None"),
+        (load_input_sentences, _span(link=5), "link must be str or null, got 5"),
+        (load_input_sentences, _span(start=1), "bad span offsets [1, 1)"),
+        (
+            load_input_sentences,
+            {"id": "s", "text": "ab", "spans": [5]},
+            "span must be an object, got 5",
+        ),
         (
             load_dataset,
             {"id": "a", "text": 5, "spans": [], "triples": []},
             "text must be str, got 5",
         ),
+        (load_dataset, _span(start=False), "start must be int, got False"),
+        (load_dataset, _span(surface=["a"]), "surface must be str, got ['a']"),
+        (load_dataset, _span(link=5), "link must be str or null, got 5"),
+        (load_dataset, _triple(head=1), "head must be str, got 1"),
+        (load_dataset, _triple(pid=None), "pid must be str, got None"),
+        (load_dataset, _triple(tail=["Q2"]), "tail must be str, got ['Q2']"),
         (load_predictions, {"id": "p", "output": None}, "output must be str, got None"),
         (load_predictions, {"id": "p", "output": 5}, "output must be str, got 5"),
     ],
-    ids=["text", "start", "end", "surface", "dataset-text", "output-null", "output-int"],
+    ids=[
+        "text", "start", "end", "surface", "link", "offsets", "span", "dataset-text",
+        "dataset-start", "dataset-surface", "dataset-link", "dataset-head", "dataset-pid",
+        "dataset-tail", "output-null", "output-int",
+    ],
 )
 def test_wrong_typed_field_is_a_record_error_with_its_line(tmp_path, loader, row, message):
     path = tmp_path / "records.jsonl"

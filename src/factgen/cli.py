@@ -134,7 +134,7 @@ def _finish_stage(
     manifest = {
         "stage": args.command,
         "config": config,
-        "inputs": [getattr(args, flag) for flag in INPUT_FLAGS if hasattr(args, flag)],
+        "inputs": [getattr(args, f) for f in INPUT_FLAGS if getattr(args, f, None) is not None],
         "outputs": [path for path, _ in outputs],
         "seed": seed,
         "record_counts": record_counts,
@@ -187,14 +187,14 @@ def _open_scorer(spec: str, mock, external):
             yield external(client)
 
 
-def _build_trie(kb: KbStore, kind: str, tokenizer: ByteTokenizer, years=()) -> ConstraintTrie:
-    """The ``kind`` trie; the tail one also holds ``year_labels(*years)``."""
+def _build_trie(kb: KbStore, kind: str, tokenizer: ByteTokenizer, years: list) -> ConstraintTrie:
+    """The ``kind`` trie; the tail one also holds the ``years`` labels."""
     if kind == "entity":
         labels = kb.entity_titles()
     elif kind == "relation":
         labels = kb.relation_labels()
     else:
-        labels = list(kb.entity_titles()) + year_labels(*years)
+        labels = list(kb.entity_titles()) + years
     return build_trie(labels, tokenizer)
 
 
@@ -213,9 +213,9 @@ def cmd_build_kb(args: argparse.Namespace) -> None:
 
 
 def cmd_build_trie(args: argparse.Namespace) -> None:
+    years = year_labels(args.years_first, args.years_last)
     kb = _load_kb_from_args(args)
     tokenizer = ByteTokenizer()
-    years = (args.years_first, args.years_last)
     outputs = []
     counts = {}
     for kind in TRIE_KINDS:
@@ -275,7 +275,7 @@ def cmd_negatives(args: argparse.Namespace) -> None:
     triple_counts = {s.id: len(t) for s, t in dataset if s.id is not None}
     count = round(len(positives) * fraction / (1.0 - fraction))
     # Every record has an id, so triple_counts decides every category and
-    # the KB is never read: the --kb-* flags stay only for the manifest.
+    # the KB is never read: the optional --kb-* flags only enter the manifest.
     negatives = sample_negatives(pool, None, count, args.seed, triple_counts)
     rows = [dataset_record(s, t) for s, t in positives]
     rows.extend(dataset_record(s, []) for s in negatives)
@@ -340,7 +340,7 @@ def _load_tries(args: argparse.Namespace, tokenizer: ByteTokenizer) -> DecodingT
         else:
             if kb is None:
                 kb = _load_kb_from_args(args)
-            tries[kind] = _build_trie(kb, kind, tokenizer)
+            tries[kind] = _build_trie(kb, kind, tokenizer, year_labels())
     return DecodingTries(**tries)
 
 
@@ -436,7 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("negatives", help="balance the dataset with sampled negatives")
     p.add_argument("--input", required=True)
-    _add_kb_flags(p)
+    for flag in ("--kb-entities", "--kb-relations", "--kb-triples"):
+        p.add_argument(flag)  # optional, as the stage reads no KB
     p.add_argument("--neg-fraction", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -6,7 +6,9 @@ this module ships a deterministic n-gram token scorer (counts from provided
 gold targets, add-one smoothing) and a table-backed entailment stub.
 
 Real models attach through the external scorer protocol: newline-delimited
-JSON over a child process's standard streams or a TCP socket. Requests are
+JSON over a connected socket, either one end of a Unix socket pair whose
+other end is a child process's stdin and stdout, or a TCP connection; both
+share one reader, writer and close path. Requests are
 ``{"type": "lm", "prefix": [ids], "candidates": [ids]}`` answered by
 ``{"logprobs": [floats]}`` aligned to the candidates, and
 ``{"type": "nli", "premise": str, "hypothesis": str}`` answered by
@@ -17,6 +19,7 @@ responses.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import shlex
@@ -30,6 +33,10 @@ from typing import Protocol, Sequence
 # NLI requests the client writes before reading their responses; see
 # ExternalScorerClient.nli_entail_batch.
 NLI_WINDOW = 64
+
+# Seconds ExternalScorerClient.close waits for an exec: child to exit once
+# its input has ended, before it kills the child.
+CHILD_EXIT_TIMEOUT = 10.0
 
 
 class NliScorer(Protocol):
@@ -105,70 +112,6 @@ class TableNliScorer:
         return [self.table.get(pair, self.default) for pair in pairs]
 
 
-class _LineTransport:
-    def send_lines(self, lines: Sequence[str]) -> None:
-        """Write each line plus a newline, then flush once."""
-        raise NotImplementedError
-
-    def recv_line(self) -> str:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-
-class _ProcessTransport(_LineTransport):
-    def __init__(self, command: str) -> None:
-        self.proc = subprocess.Popen(
-            shlex.split(command),
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-            bufsize=1,
-        )
-
-    def send_lines(self, lines: Sequence[str]) -> None:
-        assert self.proc.stdin is not None
-        self.proc.stdin.write("".join(line + "\n" for line in lines))
-        self.proc.stdin.flush()
-
-    def recv_line(self) -> str:
-        assert self.proc.stdout is not None
-        line = self.proc.stdout.readline()
-        if not line:
-            raise ScorerProtocolError("scorer process closed its output")
-        return line
-
-    def close(self) -> None:
-        if self.proc.stdin:
-            self.proc.stdin.close()
-        self.proc.wait(timeout=10)
-        if self.proc.stdout:
-            self.proc.stdout.close()
-
-
-class _TcpTransport(_LineTransport):
-    def __init__(self, host: str, port: int) -> None:
-        self.sock = socket.create_connection((host, port))
-        self.reader = self.sock.makefile("r", encoding="utf-8")
-        self.writer = self.sock.makefile("w", encoding="utf-8")
-
-    def send_lines(self, lines: Sequence[str]) -> None:
-        self.writer.write("".join(line + "\n" for line in lines))
-        self.writer.flush()
-
-    def recv_line(self) -> str:
-        line = self.reader.readline()
-        if not line:
-            raise ScorerProtocolError("scorer connection closed")
-        return line
-
-    def close(self) -> None:
-        self.reader.close()
-        self.writer.close()
-        self.sock.close()
-
-
 def _is_number(value: object) -> bool:
     """A JSON number: int or float (NaN and infinities included), not bool."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -198,32 +141,53 @@ def _entail_value(response: dict) -> float:
 class ExternalScorerClient:
     """Client side of the external scorer protocol.
 
-    Exchanges are serialized under an internal lock: an exchange writes its
-    requests, then reads one response per request, relying on the
-    protocol's in-order response guarantee.
+    The scorer is a connected socket, with ``proc`` the child process on
+    its far end for ``exec:``. Exchanges are serialized under an internal
+    lock: an exchange writes its requests, then reads one response per
+    request, relying on the protocol's in-order response guarantee.
     """
 
-    def __init__(self, transport: _LineTransport) -> None:
-        self._transport = transport
+    def __init__(self, sock: socket.socket, proc: subprocess.Popen | None = None) -> None:
+        self._sock = sock
+        self._reader = sock.makefile("r", encoding="utf-8")
+        self._writer = sock.makefile("w", encoding="utf-8")
+        self._proc = proc
         self._lock = threading.Lock()
 
     @classmethod
     def from_spec(cls, spec: str) -> "ExternalScorerClient":
         """Build from ``exec:<command>`` or ``tcp:<host>:<port>``."""
         if spec.startswith("exec:"):
-            return cls(_ProcessTransport(spec[len("exec:") :]))
+            argv = shlex.split(spec[len("exec:") :])
+            if not argv:
+                raise ValueError(f"exec scorer spec names no command: {spec!r}")
+            ours, theirs = socket.socketpair()
+            try:
+                proc = subprocess.Popen(argv, stdin=theirs, stdout=theirs)
+            except BaseException:
+                ours.close()
+                raise
+            finally:
+                theirs.close()
+            return cls(ours, proc)
         if spec.startswith("tcp:"):
             host, _, port = spec[len("tcp:") :].rpartition(":")
             if not host or not port.isdigit():
                 raise ValueError(f"bad tcp scorer spec {spec!r}")
-            return cls(_TcpTransport(host, int(port)))
+            return cls(socket.create_connection((host, int(port))))
         raise ValueError(f"scorer spec must start with exec: or tcp:, got {spec!r}")
 
     def _exchange(self, payloads: Sequence[dict]) -> list[dict]:
         """Write every request in one flush, then read their responses."""
         with self._lock:
-            self._transport.send_lines([json.dumps(payload) for payload in payloads])
-            lines = [self._transport.recv_line() for _ in payloads]
+            self._writer.write("".join(json.dumps(payload) + "\n" for payload in payloads))
+            self._writer.flush()
+            try:
+                lines = [self._reader.readline() for _ in payloads]
+            except ConnectionResetError:  # it hung up with requests unread
+                lines = [""]
+        if "" in lines:  # end of file: every later read returns "" at once
+            raise ScorerProtocolError("scorer closed the stream before answering")
         return [_parse_response(line) for line in lines]
 
     def request(self, payload: dict) -> dict:
@@ -251,9 +215,10 @@ class ExternalScorerClient:
         round trip per pair, but written in windows of ``NLI_WINDOW``
         requests before their responses are read. That cannot deadlock: at
         most ``NLI_WINDOW`` responses wait unread, and that many
-        ``{"entail": p}`` lines (about 2 KB) stay far below what a pipe or
-        socket buffers (64 KiB for a Linux pipe), so the scorer never blocks
-        writing a response while the client is still writing requests.
+        ``{"entail": p}`` lines (about 2 KB) stay far below what a connected
+        socket buffers (Linux gives a Unix socket pair 208 KiB by default,
+        ``net.core.wmem_default``), so the scorer never blocks writing a
+        response while the client is still writing requests.
         """
         scores = []
         for start in range(0, len(pairs), NLI_WINDOW):
@@ -265,7 +230,32 @@ class ExternalScorerClient:
         return scores
 
     def close(self) -> None:
-        self._transport.close()
+        """End the scorer's input, wait for an ``exec:`` child to exit (else
+        kill it and raise), and close the stream."""
+        try:
+            self._writer.close()
+            self._sock.shutdown(socket.SHUT_WR)
+        except OSError as exc:
+            if exc.errno != errno.ENOTCONN:  # a peer that reset needs no end of input
+                raise
+        finally:
+            try:
+                if self._proc is not None:
+                    self._wait_for_child()
+            finally:
+                self._reader.close()
+                self._sock.close()
+
+    def _wait_for_child(self) -> None:
+        try:
+            self._proc.wait(timeout=CHILD_EXIT_TIMEOUT)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
+            raise ScorerProtocolError(
+                f"scorer {shlex.join(self._proc.args)!r} still ran "
+                f"{CHILD_EXIT_TIMEOUT:g} s after its input ended; killed it"
+            ) from None
 
     def __enter__(self) -> "ExternalScorerClient":
         return self

@@ -200,7 +200,10 @@ def build_trie(labels: Iterable[str], tokenizer: Tokenizer) -> ConstraintTrie:
 
 
 def year_labels(first: int = 1, last: int = 2100) -> list[str]:
-    """Year literals admitted in the tail position alongside entity labels."""
+    """Year literals admitted in the tail position alongside entity labels:
+    only 0..9999, the years ``is_year_literal`` reads, which the KB resolves."""
+    if not (0 <= first <= 9999 and 0 <= last <= 9999):
+        raise ValueError(f"year bounds must lie in 0..9999, got {first}..{last}")
     return [str(year) for year in range(first, last + 1)]
 
 

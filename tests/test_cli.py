@@ -371,6 +371,28 @@ def test_bad_bound_fails_before_input_is_read(
     assert sorted(tmp_path.iterdir()) == ([data] if input_exists else [])
 
 
+@pytest.mark.parametrize("kb_exists", [True, False], ids=["kb", "no-kb"])
+@pytest.mark.parametrize(
+    "flags, bounds",
+    [(["--years-last", "10003"], "1..10003"), (["--years-first", "-3"], "-3..2100")],
+    ids=["years-last-10003", "years-first-minus-3"],
+)
+def test_bad_year_bound_fails_before_the_kb_is_read(
+    kb_paths, tmp_path, capsys, flags, bounds, kb_exists
+):
+    # A year outside 0..9999 is no year literal: the tail trie would accept
+    # a value the KB cannot resolve.
+    kb = kb_paths if kb_exists else {kind: str(tmp_path / kind) for kind in kb_paths}
+    out = tmp_path / "tail.trie"
+    code = cli.main(["build-trie", *kb_flags(kb), *flags, "--out-tail", str(out)])
+    assert code == 1
+    assert stage_error(capsys) == {
+        "stage": "build-trie",
+        "error": f"ValueError: year bounds must lie in 0..9999, got {bounds}",
+    }
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_non_numeric_split_names_the_flag(tmp_path, capsys):
     data = tmp_path / "data.jsonl"
     data.write_text(json.dumps({"id": 1}) + "\n")
@@ -530,7 +552,10 @@ def test_exec_scorer_is_closed_when_the_stage_fails(
     if stage == "decode":
         assert "rerun build-trie" in error["error"]
     assert closed == opened
-    assert all(client._transport.proc.stdout.closed for client in opened)
+    assert all(
+        client._proc.returncode == 0 and client._reader.closed and client._sock.fileno() == -1
+        for client in opened
+    )
     assert not out.exists()
 
 
@@ -813,8 +838,8 @@ def test_bad_entail_in_mid_window_fails_filter_and_closes_the_client(
         "ScorerProtocolError: nli response 'entail' must be a number in [0, 1], got nan"
     )
     assert len(opened) == 1 and closed == opened
-    assert opened[0]._transport.proc.returncode == 0
-    assert opened[0]._transport.proc.stdout.closed
+    assert opened[0]._proc.returncode == 0
+    assert opened[0]._reader.closed and opened[0]._sock.fileno() == -1
     assert not out.exists()
 
 
@@ -823,8 +848,8 @@ def test_negatives_never_reads_the_kb(tmp_path):
     paths = run_pipeline(kb, tmp_path / "run")
     out = tmp_path / "dataset.jsonl"
     manifest = tmp_path / "dataset.jsonl.manifest.json"
-    argv = ["negatives", "--input", str(paths["filtered"]), *kb_flags(kb),
-            "--neg-fraction", "0.5", "--seed", "7", "--out", str(out)]
+    flags = ["--neg-fraction", "0.5", "--seed", "7", "--out", str(out)]
+    argv = ["negatives", "--input", str(paths["filtered"]), *kb_flags(kb), *flags]
     assert cli.main(argv) == 0
     with_kb = out.read_bytes(), manifest.read_bytes()
     assert with_kb[0] == paths["dataset"].read_bytes()
@@ -832,6 +857,10 @@ def test_negatives_never_reads_the_kb(tmp_path):
         Path(path).unlink()
     assert cli.main(argv) == 0
     assert (out.read_bytes(), manifest.read_bytes()) == with_kb
+    # The --kb-* flags are optional; the manifest lists only the inputs given.
+    assert cli.main(["negatives", "--input", str(paths["filtered"]), *flags]) == 0
+    assert out.read_bytes() == with_kb[0]
+    assert json.loads(manifest.read_bytes())["inputs"] == [str(paths["filtered"])]
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import socket
 import socketserver
 import sys
 import threading
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from factgen import scorers
 from factgen.scorers import (
     NLI_WINDOW,
     ExternalLmScorer,
@@ -86,31 +89,150 @@ def test_table_nli_scorer_lookup_and_default():
     assert scorer.entail_batch([]) == []
 
 
-# -- external protocol: child process ----------------------------------------------
+# -- external protocol: a child process or a tcp server, one client path ------------
 
 
-@pytest.fixture()
-def exec_client():
-    client = ExternalScorerClient.from_spec(f"exec:{sys.executable} {STUB}")
-    yield client
-    client.close()
+def stub_response(line: str | bytes) -> dict:
+    request = json.loads(line)
+    if request["type"] == "lm":
+        return {"logprobs": [stub_lm_logprob(c) for c in request["candidates"]]}
+    return {"entail": stub_nli_entail(request["premise"], request["hypothesis"])}
 
 
-def test_exec_lm_scorer_roundtrip(exec_client):
-    scorer = ExternalLmScorer(exec_client)
+class _StubHandler(socketserver.StreamRequestHandler):
+    def handle(self):
+        for raw in self.rfile:
+            self.wfile.write((json.dumps(stub_response(raw)) + "\n").encode("utf-8"))
+            self.wfile.flush()
+
+
+@contextlib.contextmanager
+def tcp_spec(handler: type[socketserver.BaseRequestHandler]):
+    """The ``tcp:`` spec of a local server answering with ``handler``."""
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        host, port = server.server_address
+        yield f"tcp:{host}:{port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.fixture(params=["exec", "tcp"])
+def client(request):
+    with contextlib.ExitStack() as stack:
+        if request.param == "exec":
+            spec = f"exec:{sys.executable} {STUB}"
+        else:
+            spec = stack.enter_context(tcp_spec(_StubHandler))
+        yield stack.enter_context(ExternalScorerClient.from_spec(spec))
+
+
+def test_tcp_scorer_roundtrip():
+    with tcp_spec(_StubHandler) as spec, ExternalScorerClient.from_spec(spec) as client:
+        assert client.lm_logprobs([5], [2, 9]) == [stub_lm_logprob(2), stub_lm_logprob(9)]
+        assert client.nli_entail_batch([("pp", "hh")]) == [stub_nli_entail("pp", "hh")]
+
+
+def test_lm_scorer_roundtrip(client):
+    scorer = ExternalLmScorer(client)
     candidates = [0, 3, 17, 256]
     assert scorer.score((1, 2), candidates) == [stub_lm_logprob(c) for c in candidates]
 
 
-def test_exec_nli_scorer_roundtrip(exec_client):
-    scorer = ExternalNliScorer(exec_client)
+def test_nli_scorer_roundtrip(client):
+    scorer = ExternalNliScorer(client)
     assert scorer.entail_batch([("abc", "defg")]) == [stub_nli_entail("abc", "defg")]
 
 
-def test_exec_many_requests_in_order(exec_client):
-    scorer = ExternalLmScorer(exec_client)
+def test_many_requests_in_order(client):
+    scorer = ExternalLmScorer(client)
     for i in range(50):
         assert scorer.score((i,), [i % 300]) == [stub_lm_logprob(i % 300)]
+
+
+def nli_pairs(count: int) -> list[tuple[str, str]]:
+    """Pairs whose stub scores differ from their neighbours', so a response
+    read out of order or against the wrong request shows."""
+    return [("p" * (i % 7), "h" * (i % 5 + i // 35)) for i in range(count)]
+
+
+def test_pipelined_nli_roundtrip(client):
+    # Three windows, the last one partial, then an lm request on the same
+    # stream: every response is matched to its own request.
+    pairs = nli_pairs(2 * NLI_WINDOW + 5)
+    assert client.nli_entail_batch(pairs) == [stub_nli_entail(*p) for p in pairs]
+    assert client.lm_logprobs([5], [3]) == [stub_lm_logprob(3)]
+    assert client.nli_entail_batch([]) == []
+
+
+# Answers three requests, read one byte at a time, then hangs up with the
+# rest of the window unread: the client sees end of file or a reset.
+HANGING_UP_STUB = (
+    "import json, sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "from stub_scorer import handle\n"
+    "for _ in range(3):\n"
+    "    line = sys.stdin.buffer.raw.readline()\n"
+    "    sys.stdout.write(json.dumps(handle(line)) + '\\n'); sys.stdout.flush()\n"
+)
+
+
+class _HangingUpHandler(socketserver.BaseRequestHandler):
+    def handle(self):
+        requests = self.request.makefile("rb", buffering=0)
+        for _ in range(3):
+            reply = json.dumps(stub_response(requests.readline())) + "\n"
+            self.request.sendall(reply.encode("utf-8"))
+
+
+@pytest.mark.parametrize("transport", ["exec", "tcp"])
+def test_scorer_that_stops_answering_gives_one_error(tmp_path, transport):
+    with contextlib.ExitStack() as stack:
+        if transport == "exec":
+            hanging_up = tmp_path / "hanging_up_scorer.py"
+            hanging_up.write_text(HANGING_UP_STUB, encoding="utf-8")
+            spec = f"exec:{sys.executable} {hanging_up} {STUB.parent}"
+        else:
+            spec = stack.enter_context(tcp_spec(_HangingUpHandler))
+        client = ExternalScorerClient.from_spec(spec)
+        with pytest.raises(
+            ScorerProtocolError, match=r"^scorer closed the stream before answering$"
+        ):
+            client.nli_entail_batch(nli_pairs(5))
+        client.close()
+    assert client._reader.closed and client._sock.fileno() == -1
+    if transport == "exec":
+        assert client._proc.returncode == 0
+
+
+def test_close_kills_a_child_that_outlives_its_input(monkeypatch):
+    monkeypatch.setattr(scorers, "CHILD_EXIT_TIMEOUT", 0.2)
+    client = ExternalScorerClient.from_spec("exec:sleep 30")
+    with pytest.raises(
+        ScorerProtocolError,
+        match=r"^scorer 'sleep 30' still ran 0.2 s after its input ended; killed it$",
+    ):
+        client.close()
+    assert client._proc.returncode is not None
+    assert client._reader.closed and client._sock.fileno() == -1
+
+
+def test_failed_spawn_closes_both_socket_ends(monkeypatch, tmp_path):
+    made = []
+
+    def recording_socketpair():
+        pair = real_socketpair()
+        made.extend(pair)
+        return pair
+
+    real_socketpair = socket.socketpair
+    monkeypatch.setattr(socket, "socketpair", recording_socketpair)
+    with pytest.raises(FileNotFoundError):
+        ExternalScorerClient.from_spec(f"exec:{tmp_path / 'no-such-scorer'}")
+    assert len(made) == 2 and all(end.fileno() == -1 for end in made)
 
 
 def test_spec_parsing_errors():
@@ -118,6 +240,9 @@ def test_spec_parsing_errors():
         ExternalScorerClient.from_spec("magic:wand")
     with pytest.raises(ValueError):
         ExternalScorerClient.from_spec("tcp:no-port")
+    for spec in ("exec:", "exec:   "):
+        with pytest.raises(ValueError, match="^exec scorer spec names no command"):
+            ExternalScorerClient.from_spec(spec)
 
 
 def test_protocol_error_on_bad_response(tmp_path):
@@ -178,59 +303,6 @@ def test_entail_bounds_are_inclusive(tmp_path):
     with ExternalScorerClient.from_spec(f"exec:{sys.executable} {edges}") as client:
         assert client.nli_entail_batch([("p", "h")]) == [0.0]
         assert client.nli_entail_batch([("p", "h")]) == [1.0]
-
-
-# -- external protocol: tcp ---------------------------------------------------------
-
-
-class _StubHandler(socketserver.StreamRequestHandler):
-    def handle(self):
-        for raw in self.rfile:
-            request = json.loads(raw)
-            if request["type"] == "lm":
-                response = {
-                    "logprobs": [stub_lm_logprob(c) for c in request["candidates"]]
-                }
-            else:
-                response = {
-                    "entail": stub_nli_entail(request["premise"], request["hypothesis"])
-                }
-            self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
-            self.wfile.flush()
-
-
-@pytest.fixture()
-def tcp_server():
-    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server.server_address
-    server.shutdown()
-    server.server_close()
-
-
-def test_tcp_scorer_roundtrip(tcp_server):
-    host, port = tcp_server
-    with ExternalScorerClient.from_spec(f"tcp:{host}:{port}") as client:
-        assert client.lm_logprobs([5], [2, 9]) == [stub_lm_logprob(2), stub_lm_logprob(9)]
-        assert client.nli_entail_batch([("pp", "hh")]) == [stub_nli_entail("pp", "hh")]
-
-
-def nli_pairs(count: int) -> list[tuple[str, str]]:
-    """Pairs whose stub scores differ from their neighbours', so a response
-    read out of order or against the wrong request shows."""
-    return [("p" * (i % 7), "h" * (i % 5 + i // 35)) for i in range(count)]
-
-
-def test_tcp_pipelined_nli_roundtrip(tcp_server):
-    # Three windows, the last one partial, then an lm request on the same
-    # connection: every response is matched to its own request.
-    host, port = tcp_server
-    pairs = nli_pairs(2 * NLI_WINDOW + 5)
-    with ExternalScorerClient.from_spec(f"tcp:{host}:{port}") as client:
-        assert client.nli_entail_batch(pairs) == [stub_nli_entail(*p) for p in pairs]
-        assert client.lm_logprobs([5], [3]) == [stub_lm_logprob(3)]
-        assert client.nli_entail_batch([]) == []
 
 
 GARBLING_STUB = (

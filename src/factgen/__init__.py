@@ -20,12 +20,9 @@ from .decode import (
 from .evaluation import Counts, EvalReport, resolve_raw_triple, score_predictions
 from .kb import KbIntegrityError, KbLoadError, KbStore, Triple, load_kb
 from .linearize import (
-    DualTargetInstance,
-    LinearizedTarget,
     LinkedSentence,
     MentionSpan,
     RawTriple,
-    TrainingInstance,
     build_artificial_prompt_instances,
     build_dual_target_instance,
     build_entity_prompt_target,

@@ -40,7 +40,6 @@ from .decode import DecodingTries, beam_search
 from .evaluation import score_predictions
 from .kb import KbStore, load_kb
 from .linearize import (
-    TrainingInstance,
     build_artificial_prompt_instances,
     build_dual_target_instance,
     build_entity_prompt_target,
@@ -60,7 +59,6 @@ from .pipeline import (
 )
 from .records import (
     dataset_record,
-    instance_record,
     load_dataset,
     load_gold,
     load_input_sentences,
@@ -86,7 +84,8 @@ TARGET_MODES = ("standard", "entity-prompt", "artificial-prompt", "dual-head")
 DECODE_MODES = ("unconstrained", "constrained", "partial")
 TRIE_KINDS = ("entity", "relation", "tail")
 # The flags naming a stage's input files, in the order its manifest lists them.
-INPUT_FLAGS = ("input", "pred", "gold", "kb_entities", "kb_relations", "kb_triples")
+KB_FLAGS = ("kb_entities", "kb_relations", "kb_triples")
+INPUT_FLAGS = ("input", "pred", "gold", *KB_FLAGS)
 
 
 def _write_temp(path: str, content, index: int) -> str:
@@ -151,10 +150,13 @@ def _finish_stage(
         os.replace(temp, path)
 
 
-def _add_kb_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kb-entities", required=True)
-    parser.add_argument("--kb-relations", required=True)
-    parser.add_argument("--kb-triples", required=True)
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _add_kb_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:
+    for dest in KB_FLAGS:
+        parser.add_argument(_flag(dest), required=required)
 
 
 def _load_kb_from_args(args: argparse.Namespace) -> KbStore:
@@ -271,12 +273,10 @@ def cmd_negatives(args: argparse.Namespace) -> None:
         raise ValueError(f"--neg-fraction must lie in [0, 1), got {fraction}")
     dataset = load_dataset(args.input)
     positives = [(s, t) for s, t in dataset if t]
-    pool = [s for s, t in dataset if not t]
-    triple_counts = {s.id: len(t) for s, t in dataset if s.id is not None}
     count = round(len(positives) * fraction / (1.0 - fraction))
-    # Every record has an id, so triple_counts decides every category and
-    # the KB is never read: the optional --kb-* flags only enter the manifest.
-    negatives = sample_negatives(pool, None, count, args.seed, triple_counts)
+    # A record's own triples decide whether it is a candidate: the KB is
+    # never read, and the optional --kb-* flags only enter the manifest.
+    negatives = sample_negatives(dataset, count, args.seed)
     rows = [dataset_record(s, t) for s, t in positives]
     rows.extend(dataset_record(s, []) for s in negatives)
     counts = {"instances": len(rows), "positives": len(positives), "negatives": len(negatives)}
@@ -299,32 +299,18 @@ def cmd_targets(args: argparse.Namespace) -> None:
     rows = []
     for sentence, triples in load_dataset(args.input):
         ordered = order_triples(triples, sentence)
-        sid = sentence.id or ""
         if args.mode == "entity-prompt":
             target = build_entity_prompt_target(sentence, ordered, kb)
-            rows.append(
-                instance_record(sid, TrainingInstance(sentence.text, target.target_text))
-            )
-            continue
-        triple_target = linearize(ordered, kb).target_text
-        if args.mode == "standard":
-            rows.append(
-                instance_record(sid, TrainingInstance(sentence.text, triple_target))
-            )
+        else:
+            target = linearize(ordered, kb)
+        if args.mode in ("standard", "entity-prompt"):
+            rows.append({"id": sentence.id, "input": sentence.text, "target": target})
             continue
         el_chain = entity_linking_chain(sentence, ordered, kb)
         if args.mode == "artificial-prompt":
-            el_inst, tri_inst = build_artificial_prompt_instances(
-                sentence, el_chain, triple_target
-            )
-            rows.append(instance_record(f"{sid}#el", el_inst))
-            rows.append(instance_record(f"{sid}#tri", tri_inst))
+            rows.extend(build_artificial_prompt_instances(sentence, el_chain, target))
         else:  # dual-head
-            rows.append(
-                instance_record(
-                    sid, build_dual_target_instance(sentence, el_chain, triple_target)
-                )
-            )
+            rows.append(build_dual_target_instance(sentence, el_chain, target))
     _finish_stage(args, [(args.out, rows)], {"mode": args.mode}, {"instances": len(rows)})
 
 
@@ -339,6 +325,12 @@ def _load_tries(args: argparse.Namespace, tokenizer: ByteTokenizer) -> DecodingT
             tries[kind] = ConstraintTrie.load(cache)
         else:
             if kb is None:
+                missing = [_flag(dest) for dest in KB_FLAGS if getattr(args, dest) is None]
+                if missing:
+                    raise ValueError(
+                        f"building the {kind} trie needs the KB: pass {', '.join(missing)} "
+                        f"or --{kind}-trie"
+                    )
                 kb = _load_kb_from_args(args)
             tries[kind] = _build_trie(kb, kind, tokenizer, year_labels())
     return DecodingTries(**tries)
@@ -436,8 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("negatives", help="balance the dataset with sampled negatives")
     p.add_argument("--input", required=True)
-    for flag in ("--kb-entities", "--kb-relations", "--kb-triples"):
-        p.add_argument(flag)  # optional, as the stage reads no KB
+    _add_kb_flags(p, required=False)  # the stage reads no KB
     p.add_argument("--neg-fraction", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -459,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode", help="beam-search decode with optional constraints")
     p.add_argument("--input", required=True)
-    _add_kb_flags(p)
+    _add_kb_flags(p, required=False)  # read only to build a trie whose cache is not given
     p.add_argument("--mode", choices=DECODE_MODES, default="constrained")
     p.add_argument("--scorer", default="mock")
     p.add_argument("--beam", type=int, default=4)

@@ -5,7 +5,8 @@ triple. On top of that this module builds the three auxiliary targets that
 pair triple generation with entity linking: the entity-prompt target
 (``[ENTITY] span chain [TRIPLE] triples``), the artificial-prompt instance
 pair (``<#el#>`` / ``<#tri#>`` input prefixes), and the dual-target instance
-for a two-headed decoder.
+for a two-headed decoder. Targets are strings and instances are the rows
+``targets`` writes.
 
 All operations are pure functions over immutable inputs.
 """
@@ -71,8 +72,6 @@ class LinkedSentence:
 
     text: str
     spans: tuple[MentionSpan, ...] = ()
-    source_url_domain: str | None = None
-    is_negative: bool = False
     id: str | None = None
 
     def __post_init__(self) -> None:
@@ -106,25 +105,6 @@ class RawTriple:
     def __post_init__(self) -> None:
         if not (self.head_label and self.relation_label and self.tail_label):
             raise ValueError("RawTriple fields must be non-empty")
-
-
-@dataclass(frozen=True)
-class LinearizedTarget:
-    target_text: str
-    triple_count: int
-
-
-@dataclass(frozen=True)
-class TrainingInstance:
-    input: str
-    target: str
-
-
-@dataclass(frozen=True)
-class DualTargetInstance:
-    input: str
-    target_ie: str
-    target_el: str
 
 
 def _first_offset(sentence: LinkedSentence, link: str) -> int | None:
@@ -165,7 +145,7 @@ def linearize_labels(triples: Iterable[RawTriple]) -> str:
     return " ".join(blocks)
 
 
-def linearize(ordered: Sequence[Triple], kb: KbStore) -> LinearizedTarget:
+def linearize(ordered: Sequence[Triple], kb: KbStore) -> str:
     """Serialize resolved triples; an empty list yields the empty string.
 
     Heads and relations must resolve in the store; tails may also be year
@@ -183,7 +163,7 @@ def linearize(ordered: Sequence[Triple], kb: KbStore) -> LinearizedTarget:
         if tail is None:
             raise LinearizeError(f"cannot resolve tail {triple.tail!r}")
         raws.append(RawTriple(head, relation, tail))
-    return LinearizedTarget(linearize_labels(raws), len(raws))
+    return linearize_labels(raws)
 
 
 def parse_linearized(text: str) -> list[RawTriple]:
@@ -246,7 +226,7 @@ def entity_linking_chain(
 
 def build_entity_prompt_target(
     sentence: LinkedSentence, ordered: Sequence[Triple], kb: KbStore
-) -> LinearizedTarget:
+) -> str:
     """Entity-prompt target: EL chain then triples, behind start markers."""
     linearized = linearize(ordered, kb)
     chain = entity_linking_chain(sentence, ordered, kb)
@@ -254,26 +234,33 @@ def build_entity_prompt_target(
     if chain:
         text += " " + chain
     text += " " + TRIPLE_MARKER
-    if linearized.target_text:
-        text += " " + linearized.target_text
-    return LinearizedTarget(text, linearized.triple_count)
+    if linearized:
+        text += " " + linearized
+    return text
 
 
 def build_artificial_prompt_instances(
     sentence: LinkedSentence, el_target: str, triple_target: str
-) -> tuple[TrainingInstance, TrainingInstance]:
-    """One instance per task, distinguished by the input prefix token."""
-    return (
-        TrainingInstance(f"{EL_PROMPT} {sentence.text}", el_target),
-        TrainingInstance(f"{IE_PROMPT} {sentence.text}", triple_target),
-    )
+) -> list[dict]:
+    """One instance per task, distinguished by the input prefix token and by
+    ``#el``/``#tri`` after the sentence id."""
+    sid, text = sentence.id, sentence.text
+    return [
+        {"id": f"{sid}#el", "input": f"{EL_PROMPT} {text}", "target": el_target},
+        {"id": f"{sid}#tri", "input": f"{IE_PROMPT} {text}", "target": triple_target},
+    ]
 
 
 def build_dual_target_instance(
     sentence: LinkedSentence, el_target: str, triple_target: str
-) -> DualTargetInstance:
+) -> dict:
     """Single input with separate targets for the two decoder heads."""
-    return DualTargetInstance(sentence.text, target_ie=triple_target, target_el=el_target)
+    return {
+        "id": sentence.id,
+        "input": sentence.text,
+        "target_ie": triple_target,
+        "target_el": el_target,
+    }
 
 
 def combine_losses(l_ie: float, l_el: float, alpha: float) -> float:

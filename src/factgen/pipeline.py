@@ -4,8 +4,8 @@ Stages: date surfaces are mapped to bare years; distant supervision pairs
 every two linked mentions and keeps the relations the KB knows for them; an
 entailment scorer filters triples the sentence does not actually express
 (max score over one or more templated hypotheses, strict ``> threshold``
-comparison); negative examples are sampled evenly from the two categories
-(at most one linked mention / several mentions but no surviving facts); and
+comparison); negative examples are sampled evenly from the two categories of
+records without triples (at most one linked mention / several mentions); and
 the result is split 90/5/5 by default.
 
 DS extraction and filtering are pure per-sentence functions; sampling and
@@ -19,8 +19,8 @@ import logging
 import math
 import random
 import re
-from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence, TypeVar
+from dataclasses import dataclass
+from typing import Iterable, Sequence, TypeVar
 
 from .kb import KbStore, Triple
 from .linearize import LinkedSentence, order_triples
@@ -216,42 +216,25 @@ def entailment_filter(
     return kept
 
 
-def negative_category(
-    sentence: LinkedSentence,
-    kb: KbStore | None,
-    triple_counts: Mapping[str, int] | None = None,
-) -> int | None:
-    """1 for at-most-one-mention negatives, 2 for no-facts negatives.
-
-    Returns None for sentences that still bear triples. When post-filter
-    triple counts (keyed by sentence id) are available they decide category
-    2; otherwise raw DS extraction does, and only then is ``kb`` read: it
-    may be None when ``triple_counts`` covers every sentence with an id.
-    """
-    linked = sentence.linked_spans()
-    if len(linked) <= 1:
-        return 1
-    if triple_counts is not None and sentence.id is not None:
-        has_triples = triple_counts.get(sentence.id, 0) > 0
-    else:
-        has_triples = bool(extract_ds_triples(sentence, kb))
-    return None if has_triples else 2
+def negative_category(sentence: LinkedSentence, triples: Sequence[Triple]) -> int | None:
+    """None for a record with triples; else 1 for at most one linked
+    mention and 2 for several."""
+    if triples:
+        return None
+    return 1 if len(sentence.linked_spans()) <= 1 else 2
 
 
 def sample_negatives(
-    corpus: Sequence[LinkedSentence],
-    kb: KbStore | None,
+    records: Sequence[tuple[LinkedSentence, Sequence[Triple]]],
     count: int,
     seed: int,
-    triple_counts: Mapping[str, int] | None = None,
 ) -> list[LinkedSentence]:
     """Sample negatives evenly from the two categories, without replacement.
 
+    Only the ``(sentence, triples)`` records without triples are candidates.
     Asks for ``ceil(count / 2)`` category-1 and ``floor(count / 2)``
     category-2 sentences; a short category is backfilled from the other
     (logged). Too few candidates overall is an error stating the shortfall.
-    Returned sentences are marked negative. ``kb`` is read only as
-    :func:`negative_category` says.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -259,8 +242,8 @@ def sample_negatives(
         return []
     category_one = []
     category_two = []
-    for sentence in corpus:
-        category = negative_category(sentence, kb, triple_counts)
+    for sentence, triples in records:
+        category = negative_category(sentence, triples)
         if category == 1:
             category_one.append(sentence)
         elif category == 2:
@@ -290,8 +273,7 @@ def sample_negatives(
         want_two -= shortfall
         want_one += shortfall
     rng = random.Random(seed)
-    picked = rng.sample(category_one, want_one) + rng.sample(category_two, want_two)
-    return [replace(sentence, is_negative=True) for sentence in picked]
+    return rng.sample(category_one, want_one) + rng.sample(category_two, want_two)
 
 
 def split_dataset(

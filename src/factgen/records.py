@@ -2,11 +2,12 @@
 
 Input sentences arrive as ``{"id", "text", "spans": [...], "url_domain"}``
 where each span has offsets, a surface, and either a ``link`` (entity id)
-or a ``date`` (surface form mapped to a year at ingestion). Dataset records
-add resolved triples and the negative flag; their spans are parsed by the
-same rule as input spans. Training-instance records carry
-one target or the two-headed pair; prediction records carry the generated
-linearized string.
+or a ``date`` (surface form mapped to a year at ingestion); ``url_domain``
+is accepted and ignored. Dataset records add resolved triples and an
+``is_negative`` flag written as "no triples" and never read back; their
+spans are parsed by the same rule as input spans. Training-instance records
+(built in :mod:`factgen.linearize`) carry one target or the two-headed
+pair; prediction records carry the generated linearized string.
 """
 
 from __future__ import annotations
@@ -15,12 +16,7 @@ import json
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .kb import Triple
-from .linearize import (
-    DualTargetInstance,
-    LinkedSentence,
-    MentionSpan,
-    TrainingInstance,
-)
+from .linearize import LinkedSentence, MentionSpan
 from .pipeline import map_date_to_year
 
 
@@ -114,12 +110,7 @@ def sentence_from_input_record(row: Mapping, context: str = "<record>") -> Linke
         key=lambda s: s.start,
     )
     try:
-        return LinkedSentence(
-            text=text,
-            spans=tuple(spans),
-            source_url_domain=row.get("url_domain"),
-            id=sid,
-        )
+        return LinkedSentence(text=text, spans=tuple(spans), id=sid)
     except ValueError as exc:
         raise RecordError(f"{context}: {exc}") from None
 
@@ -168,12 +159,7 @@ def parse_dataset_record(
         text = row["text"]
         _check_type(context, "text", text, str)
         spans = tuple(_span_from_input(s, context) for s in row.get("spans", ()))
-        sentence = LinkedSentence(
-            text=text,
-            spans=spans,
-            is_negative=bool(row.get("is_negative", False)),
-            id=str(row["id"]),
-        )
+        sentence = LinkedSentence(text=text, spans=spans, id=str(row["id"]))
         triples = []
         for t in row.get("triples", ()):
             fields = t["head"], t["pid"], t["tail"]
@@ -188,17 +174,6 @@ def parse_dataset_record(
 def load_dataset(path: str) -> list[tuple[LinkedSentence, list[Triple]]]:
     """Dataset records in file order; a repeated id is an error."""
     return _load_unique(path, parse_dataset_record, read_jsonl(path))
-
-
-def instance_record(instance_id: str, instance: TrainingInstance | DualTargetInstance) -> dict:
-    if isinstance(instance, DualTargetInstance):
-        return {
-            "id": instance_id,
-            "input": instance.input,
-            "target_ie": instance.target_ie,
-            "target_el": instance.target_el,
-        }
-    return {"id": instance_id, "input": instance.input, "target": instance.target}
 
 
 def prediction_record(instance_id: str, output: str) -> dict:

@@ -180,8 +180,13 @@ class ExternalScorerClient:
     def _exchange(self, payloads: Sequence[dict]) -> list[dict]:
         """Write every request in one flush, then read their responses."""
         with self._lock:
-            self._writer.write("".join(json.dumps(payload) + "\n" for payload in payloads))
-            self._writer.flush()
+            try:
+                self._writer.write("".join(json.dumps(payload) + "\n" for payload in payloads))
+                self._writer.flush()
+            except (BrokenPipeError, ConnectionResetError):  # it is gone already
+                raise ScorerProtocolError(
+                    f"scorer closed the stream before taking the {payloads[0]['type']} request"
+                ) from None
             try:
                 lines = [self._reader.readline() for _ in payloads]
             except ConnectionResetError:  # it hung up with requests unread
@@ -236,7 +241,9 @@ class ExternalScorerClient:
             self._writer.close()
             self._sock.shutdown(socket.SHUT_WR)
         except OSError as exc:
-            if exc.errno != errno.ENOTCONN:  # a peer that reset needs no end of input
+            # A peer that is gone needs no end of input, nor the requests
+            # a failed _exchange left in the writer.
+            if exc.errno not in (errno.ENOTCONN, errno.EPIPE, errno.ECONNRESET):
                 raise
         finally:
             try:

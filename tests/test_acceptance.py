@@ -40,6 +40,7 @@ from factgen.pipeline import (
     sample_negatives,
     split_dataset,
 )
+from factgen.records import dataset_record
 from factgen.scorers import NgramScorer, TableNliScorer
 from factgen.tokenizers import ByteTokenizer
 from factgen.trie import build_trie, year_labels
@@ -447,16 +448,18 @@ def test_criterion_07_dataset_composition():
         a, b = unrelated[i % len(unrelated)]
         pool.append(sentence(f"two-{i}", [a, b]))
 
-    negatives = sample_negatives(pool, kb, 5000, seed=99)
-    dataset = [record for record, _ in positives] + negatives
+    pool = [(s, extract_ds_triples(s, kb)) for s in pool]
+    negatives = sample_negatives(pool, 5000, seed=99)
+    dataset = [dataset_record(s, t) for s, t in positives]
+    dataset += [dataset_record(s, []) for s in negatives]
     assert len(dataset) == 10_000
 
-    negative_share = sum(1 for s in dataset if s.is_negative)
+    negative_share = sum(1 for r in dataset if r["is_negative"])
     assert abs(negative_share - 5000) <= 1
 
     categories = defaultdict(int)
     for s in negatives:
-        categories[negative_category(s, kb)] += 1
+        categories[negative_category(s, extract_ds_triples(s, kb))] += 1
     assert abs(categories[1] - categories[2]) <= 1
 
     train, val, test = split_dataset(dataset, (0.90, 0.05, 0.05), seed=99)
@@ -478,7 +481,7 @@ def test_criterion_08_target_formats(small_kb, uk_sentence):
     ordered = [Triple("Q145", "P36", "Q84")]
 
     entity_prompt = build_entity_prompt_target(uk_sentence, ordered, small_kb)
-    assert entity_prompt.target_text == (
+    assert entity_prompt == (
         "[ENTITY] UK # United Kingdom | London # London "
         "[TRIPLE] <sub> United Kingdom <rel> capital <obj> London <et>"
     )
@@ -489,15 +492,15 @@ def test_criterion_08_target_formats(small_kb, uk_sentence):
     el_instance, tri_instance = build_artificial_prompt_instances(
         uk_sentence, chain, triple_target
     )
-    assert el_instance.input == f"<#el#> {uk_sentence.text}"
-    assert el_instance.target == chain
-    assert tri_instance.input == f"<#tri#> {uk_sentence.text}"
-    assert tri_instance.target == triple_target
+    assert el_instance["input"] == f"<#el#> {uk_sentence.text}"
+    assert el_instance["target"] == chain
+    assert tri_instance["input"] == f"<#tri#> {uk_sentence.text}"
+    assert tri_instance["target"] == triple_target
 
     dual = build_dual_target_instance(uk_sentence, chain, triple_target)
-    assert dual.input == uk_sentence.text
-    assert dual.target_ie == triple_target
-    assert dual.target_el == chain
+    assert dual["input"] == uk_sentence.text
+    assert dual["target_ie"] == triple_target
+    assert dual["target_el"] == chain
 
     assert combine_losses(2, 4, 0.5) == 3
     for alpha in (0.5, 0.75):

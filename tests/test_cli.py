@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import subprocess
 import sys
@@ -485,6 +486,27 @@ def test_decode_reads_the_kb_only_to_build_a_missing_trie(tmp_path, mode):
         Path(path).unlink()
     assert cli.main(argv) == 0
     assert (out.read_bytes(), manifest.read_bytes()) == with_kb
+    # The --kb-* flags are optional; the manifest lists only the inputs given.
+    argv = ["decode", "--input", str(data), "--mode", mode, *tries,
+            "--beam", "2", "--max-len", "64", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert out.read_bytes() == with_kb[0]
+    assert json.loads(manifest.read_bytes())["inputs"] == [str(data)]
+
+
+def test_decode_names_the_kb_flags_a_trie_build_lacks(kb_paths, tmp_path, capsys):
+    data = tmp_path / "instances.jsonl"
+    write_jsonl(str(data), [{"id": "a", "input": "x", "target": ""}])
+    out = tmp_path / "pred.jsonl"
+    argv = ["decode", "--input", str(data), "--kb-relations", kb_paths["relations"],
+            "--mode", "constrained", "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert stage_error(capsys) == {
+        "stage": "decode",
+        "error": "ValueError: building the entity trie needs the KB: "
+        "pass --kb-entities, --kb-triples or --entity-trie",
+    }
+    assert not out.exists()
 
 
 @pytest.fixture()
@@ -677,6 +699,30 @@ def test_manifest_contents_are_pinned(kb_paths, manifest_run, name):
     text = (manifest_run / name).read_text(encoding="utf-8")
     text = text.replace(str(manifest_run), "<run>").replace(kb_dir, "<kb>")
     assert json.loads(text) == PINNED_MANIFESTS[name]
+
+
+# SHA-256 of the micro pipeline's dataset and of its targets in each mode,
+# as the stages wrote them when negatives still re-ran distant supervision
+# and targets built carrier objects before the rows.
+PINNED_DIGESTS = {
+    "dataset": "6b39e6d4f0d676343b7ea13d8c863d684284ff8a6ad32c89ef49e41a8d445994",
+    "standard": "a593328cff6da5f0d76a7987d6a8360b47798937ae13cd9487fe4b88db4e9f6b",
+    "entity-prompt": "f12a0a8199d270d00745376c1be53779b6b22025e6bb3eb9407a89925d370fa1",
+    "artificial-prompt": "b973300f2bde20674cd0ceff8194797bdcb29b18928c058cd545db103aa61795",
+    "dual-head": "476eed1ca9ead41cb6e7460efa1c49aa052b1a2bc860ae86348b63a172b8fce6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_dataset_and_target_bytes_are_pinned(kb_paths, manifest_run, tmp_path, name):
+    dataset = manifest_run / "dataset.jsonl"
+    out = dataset
+    if name != "dataset":
+        out = tmp_path / "targets.jsonl"
+        argv = ["targets", "--input", str(dataset), *kb_flags(kb_paths), "--mode", name,
+                "--out", str(out)]
+        assert cli.main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_DIGESTS[name]
 
 
 # -- the collector pause, pipelined filter, KB-free negatives ----------------

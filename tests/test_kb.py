@@ -237,5 +237,5 @@ def test_value_rule_matches_bruteforce_oracle(case):
         assert store.resolve_value(value) == oracle_resolve(value)
 
     triples = sorted({Triple(*row) for row in triple_rows})
-    parsed = parse_linearized(linearize(triples, store).target_text)
+    parsed = parse_linearized(linearize(triples, store))
     assert [resolve_raw_triple(raw, store) for raw in parsed] == triples

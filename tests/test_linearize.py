@@ -100,18 +100,18 @@ def test_triple_without_span_is_an_error(uk_sentence):
 
 
 def test_empty_triple_list_linearizes_to_empty_string(small_kb):
-    assert linearize([], small_kb).target_text == ""
+    assert linearize([], small_kb) == ""
 
 
 def test_linearize_uses_kb_labels(small_kb):
     target = linearize([Triple("Q145", "P36", "Q84")], small_kb)
-    assert target.target_text == "<sub> United Kingdom <rel> capital <obj> London <et>"
-    assert target.triple_count == 1
+    assert target == "<sub> United Kingdom <rel> capital <obj> London <et>"
+    assert len(parse_linearized(target)) == 1
 
 
 def test_linearize_year_tail_passes_verbatim(small_kb):
     target = linearize([Triple("Q62", "P571", "1776")], small_kb)
-    assert target.target_text == "<sub> San Francisco <rel> inception <obj> 1776 <et>"
+    assert target == "<sub> San Francisco <rel> inception <obj> 1776 <et>"
 
 
 def test_linearize_unresolvable_is_an_error(small_kb):
@@ -159,7 +159,7 @@ def test_label_level_roundtrip_on_kb_fixture(small_kb):
     ]
     sentence = make_sentence_with_offsets(["Q145", "Q84", "Q62", "1776"])
     ordered = order_triples(triples, sentence)
-    parsed = parse_linearized(linearize(ordered, small_kb).target_text)
+    parsed = parse_linearized(linearize(ordered, small_kb))
     expected = [
         RawTriple(
             small_kb.entity_label(t.head),
@@ -192,7 +192,7 @@ def test_parse_is_total_on_arbitrary_text(text):
 def test_entity_prompt_matches_worked_fixture(small_kb, uk_sentence):
     ordered = [Triple("Q145", "P36", "Q84")]
     target = build_entity_prompt_target(uk_sentence, ordered, small_kb)
-    assert target.target_text == (
+    assert target == (
         "[ENTITY] UK # United Kingdom | London # London "
         "[TRIPLE] <sub> United Kingdom <rel> capital <obj> London <et>"
     )
@@ -201,8 +201,8 @@ def test_entity_prompt_matches_worked_fixture(small_kb, uk_sentence):
 def test_entity_prompt_empty_case(small_kb):
     sentence = LinkedSentence(text="Nothing to see here.", spans=())
     target = build_entity_prompt_target(sentence, [], small_kb)
-    assert target.target_text == "[ENTITY] [TRIPLE]"
-    assert target.triple_count == 0
+    assert target == "[ENTITY] [TRIPLE]"
+    assert parse_linearized(target) == []
 
 
 def test_entity_prompt_omits_noncontributing_spans(small_kb):
@@ -222,8 +222,7 @@ def test_entity_prompt_omits_noncontributing_spans(small_kb):
 
 
 def test_entity_prompt_has_one_marker_pair(small_kb, uk_sentence):
-    target = build_entity_prompt_target(uk_sentence, [Triple("Q145", "P36", "Q84")], small_kb)
-    text = target.target_text
+    text = build_entity_prompt_target(uk_sentence, [Triple("Q145", "P36", "Q84")], small_kb)
     assert text.count("[ENTITY]") == 1
     assert text.count("[TRIPLE]") == 1
     assert text.index("[ENTITY]") < text.index("[TRIPLE]")
@@ -239,17 +238,21 @@ def test_year_span_appears_in_chain(small_kb):
 def test_artificial_prompt_instances():
     sentence = LinkedSentence(text="Some text.", spans=())
     el, tri = build_artificial_prompt_instances(sentence, "EL-TARGET", "TRI-TARGET")
-    assert el.input == "<#el#> Some text."
-    assert el.target == "EL-TARGET"
-    assert tri.input == "<#tri#> Some text."
-    assert tri.target == "TRI-TARGET"
+    assert el["input"] == "<#el#> Some text."
+    assert el["target"] == "EL-TARGET"
+    assert tri["input"] == "<#tri#> Some text."
+    assert tri["target"] == "TRI-TARGET"
 
 
 def test_artificial_prompt_on_empty_text():
     sentence = LinkedSentence(text="", spans=())
     el, tri = build_artificial_prompt_instances(sentence, "", "")
-    assert el.input == "<#el#> "
-    assert tri.input == "<#tri#> "
+    assert el["input"] == "<#el#> "
+    assert tri["input"] == "<#tri#> "
+
+
+def row_key(row: dict) -> tuple:
+    return tuple(sorted(row.items()))
 
 
 def test_artificial_prompt_multiset_preserved_under_shuffle():
@@ -260,15 +263,15 @@ def test_artificial_prompt_multiset_preserved_under_shuffle():
         pairs.extend(build_artificial_prompt_instances(sentence, f"el{i}", f"tri{i}"))
     shuffled = pairs[:]
     rng.shuffle(shuffled)
-    assert Counter(shuffled) == Counter(pairs)
+    assert Counter(map(row_key, shuffled)) == Counter(map(row_key, pairs))
 
 
 def test_dual_target_instance():
     sentence = LinkedSentence(text="Dual output text.", spans=())
     instance = build_dual_target_instance(sentence, "EL", "IE")
-    assert instance.input == "Dual output text."
-    assert instance.target_ie == "IE"
-    assert instance.target_el == "EL"
+    assert instance["input"] == "Dual output text."
+    assert instance["target_ie"] == "IE"
+    assert instance["target_el"] == "EL"
 
 
 def test_dual_target_multiset_preserved_under_shuffle():
@@ -281,7 +284,7 @@ def test_dual_target_multiset_preserved_under_shuffle():
     ]
     shuffled = instances[:]
     rng.shuffle(shuffled)
-    assert Counter(shuffled) == Counter(instances)
+    assert Counter(map(row_key, shuffled)) == Counter(map(row_key, instances))
 
 
 # -- losses --------------------------------------------------------------------

@@ -347,52 +347,53 @@ def build_negative_corpus(kb, n_one: int, n_two: int, n_pos: int):
         corpus.append(sentence_with_links(["Q145", "Q38"], sid=f"two-{i}"))
     for i in range(n_pos):
         corpus.append(sentence_with_links(["Q145", "Q84"], sid=f"pos-{i}"))
-    return corpus
+    return [(sentence, extract_ds_triples(sentence, kb)) for sentence in corpus]
 
 
 def test_count_zero_returns_empty(small_kb):
-    assert sample_negatives([], small_kb, 0, seed=1) == []
+    assert sample_negatives([], 0, seed=1) == []
 
 
 def test_even_categories_and_seed_reproducibility(small_kb):
     corpus = build_negative_corpus(small_kb, 10, 10, 5)
-    first = sample_negatives(corpus, small_kb, 10, seed=42)
-    second = sample_negatives(corpus, small_kb, 10, seed=42)
+    first = sample_negatives(corpus, 10, seed=42)
+    second = sample_negatives(corpus, 10, seed=42)
     assert [s.id for s in first] == [s.id for s in second]
-    assert all(s.is_negative for s in first)
+    triples_by_id = {s.id: triples for s, triples in corpus}
+    assert all(not triples_by_id[s.id] for s in first)
 
     # Oracle: category membership recomputed from the sentences.
     by_category = defaultdict(int)
     for sentence in first:
-        by_category[negative_category(sentence, small_kb)] += 1
+        by_category[negative_category(sentence, extract_ds_triples(sentence, small_kb))] += 1
     assert by_category[1] == 5
     assert by_category[2] == 5
 
-    different = sample_negatives(corpus, small_kb, 10, seed=43)
+    different = sample_negatives(corpus, 10, seed=43)
     assert {s.id for s in different} != {s.id for s in first} or True
     for sentence in different:
-        assert negative_category(sentence, small_kb) in (1, 2)
+        assert negative_category(sentence, extract_ds_triples(sentence, small_kb)) in (1, 2)
 
 
 def test_odd_count_gives_ceiling_to_category_one(small_kb):
     corpus = build_negative_corpus(small_kb, 10, 10, 0)
-    picked = sample_negatives(corpus, small_kb, 7, seed=0)
-    categories = [negative_category(s, small_kb) for s in picked]
+    picked = sample_negatives(corpus, 7, seed=0)
+    categories = [negative_category(s, []) for s in picked]
     assert categories.count(1) == 4
     assert categories.count(2) == 3
 
 
 def test_positive_sentences_are_never_sampled(small_kb):
     corpus = build_negative_corpus(small_kb, 4, 4, 20)
-    picked = sample_negatives(corpus, small_kb, 8, seed=9)
+    picked = sample_negatives(corpus, 8, seed=9)
     assert all(not s.id.startswith("pos-") for s in picked)
 
 
 def test_backfill_from_other_category(small_kb, caplog):
     corpus = build_negative_corpus(small_kb, 2, 10, 0)
     with caplog.at_level("WARNING"):
-        picked = sample_negatives(corpus, small_kb, 8, seed=3)
-    categories = [negative_category(s, small_kb) for s in picked]
+        picked = sample_negatives(corpus, 8, seed=3)
+    categories = [negative_category(s, []) for s in picked]
     assert categories.count(1) == 2
     assert categories.count(2) == 6
     assert any("backfill" in record.message for record in caplog.records)
@@ -401,16 +402,16 @@ def test_backfill_from_other_category(small_kb, caplog):
 def test_shortfall_is_an_error(small_kb):
     corpus = build_negative_corpus(small_kb, 2, 2, 0)
     with pytest.raises(SamplingError, match="4 candidates"):
-        sample_negatives(corpus, small_kb, 5, seed=0)
+        sample_negatives(corpus, 5, seed=0)
 
 
 def test_post_filter_counts_override_ds_extraction(small_kb):
-    # DS finds a triple for this pair, but filtering rejected it; with the
-    # post-filter counts the sentence becomes a category-2 candidate.
+    # DS finds a triple for this pair, but filtering rejected it: the record
+    # left with no triples is a category-2 candidate.
     sentence = sentence_with_links(["Q145", "Q84"], sid="rejected")
-    assert negative_category(sentence, small_kb) is None
-    assert negative_category(sentence, small_kb, {"rejected": 0}) == 2
-    picked = sample_negatives([sentence], small_kb, 1, seed=0, triple_counts={"rejected": 0})
+    assert negative_category(sentence, extract_ds_triples(sentence, small_kb)) is None
+    assert negative_category(sentence, []) == 2
+    picked = sample_negatives([(sentence, [])], 1, seed=0)
     assert picked[0].id == "rejected"
 
 

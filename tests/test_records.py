@@ -31,7 +31,9 @@ def test_input_record_with_entity_and_date_spans():
     assert sentence.id == "s1"
     assert sentence.spans[0].link == "Q62"
     assert sentence.spans[1].link == "1776"
-    assert sentence.source_url_domain == "example.org"
+    # url_domain is accepted and ignored.
+    without_domain = {key: value for key, value in row.items() if key != "url_domain"}
+    assert sentence == sentence_from_input_record(without_domain)
 
 
 def test_unparseable_date_becomes_unlinked():
@@ -82,7 +84,7 @@ def test_dataset_record_roundtrip(tmp_path):
     ((loaded_sentence, loaded_triples),) = load_dataset(str(path))
     assert loaded_sentence.text == sentence.text
     assert loaded_sentence.id == sentence.id
-    assert not loaded_sentence.is_negative
+    assert not dataset_record(loaded_sentence, loaded_triples)["is_negative"]
     assert loaded_triples == triples
 
 

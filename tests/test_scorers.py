@@ -3,8 +3,10 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import select
 import socket
 import socketserver
+import struct
 import sys
 import threading
 from pathlib import Path
@@ -203,6 +205,42 @@ def test_scorer_that_stops_answering_gives_one_error(tmp_path, transport):
         ):
             client.nli_entail_batch(nli_pairs(5))
         client.close()
+    assert client._reader.closed and client._sock.fileno() == -1
+    if transport == "exec":
+        assert client._proc.returncode == 0
+
+
+class _ResettingHandler(socketserver.BaseRequestHandler):
+    """Resets the connection before reading a request, then sets ``gone``."""
+
+    gone = threading.Event()
+
+    def handle(self):
+        self.request.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        self.request.close()
+        self.gone.set()
+
+
+@pytest.mark.parametrize("transport", ["exec", "tcp"])
+def test_scorer_gone_before_the_write_gives_one_error(transport):
+    with contextlib.ExitStack() as stack:
+        if transport == "exec":
+            client = ExternalScorerClient.from_spec("exec:true")
+            client._proc.wait()
+        else:
+            _ResettingHandler.gone.clear()
+            client = ExternalScorerClient.from_spec(stack.enter_context(tcp_spec(_ResettingHandler)))
+            assert _ResettingHandler.gone.wait(10)
+            select.select([client._sock], [], [], 10)  # the reset has arrived
+        with pytest.raises(
+            ScorerProtocolError, match=r"^scorer closed the stream before taking the nli request$"
+        ):
+            client.nli_entail_batch(nli_pairs(5))
+        with pytest.raises(
+            ScorerProtocolError, match=r"^scorer closed the stream before taking the lm request$"
+        ):
+            client.lm_logprobs([5], [3])
+        client.close()  # the unwritten requests are dropped, not raised again
     assert client._reader.closed and client._sock.fileno() == -1
     if transport == "exec":
         assert client._proc.returncode == 0

@@ -19,6 +19,10 @@ cycle, so reference counting frees them as before; with the collector on,
 those allocations only trigger collections that scan the live records and
 find nothing, over a tenth of the benchmark's dataset chain. Library
 functions leave the collector as their caller set it.
+
+Every stage runs in its own process, so the decoder, the evaluation and the
+scorers are imported inside the commands that use them: a stage that does
+not run them does not pay for compiling and importing them.
 """
 
 from __future__ import annotations
@@ -34,10 +38,8 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .decode import DecodingTries, beam_search
-from .evaluation import score_predictions
 from .kb import KbStore, load_kb
 from .linearize import (
     build_artificial_prompt_instances,
@@ -68,15 +70,11 @@ from .records import (
     unique_records,
     write_jsonl,
 )
-from .scorers import (
-    ExternalLmScorer,
-    ExternalNliScorer,
-    ExternalScorerClient,
-    NgramScorer,
-    TableNliScorer,
-)
 from .tokenizers import ByteTokenizer
 from .trie import ConstraintTrie, build_trie, year_labels
+
+if TYPE_CHECKING:
+    from .decode import DecodingTries
 
 logger = logging.getLogger(__name__)
 
@@ -85,7 +83,9 @@ DECODE_MODES = ("unconstrained", "constrained", "partial")
 TRIE_KINDS = ("entity", "relation", "tail")
 # The flags naming a stage's input files, in the order its manifest lists them.
 KB_FLAGS = ("kb_entities", "kb_relations", "kb_triples")
-INPUT_FLAGS = ("input", "pred", "gold", *KB_FLAGS)
+INPUT_FLAGS = (
+    "input", "pred", "gold", *KB_FLAGS, "templates", "entity_trie", "relation_trie", "tail_trie",
+)
 
 
 def _write_temp(path: str, content, index: int) -> str:
@@ -185,6 +185,8 @@ def _open_scorer(spec: str, mock, external):
     if spec == "mock":
         yield mock()
     else:
+        from .scorers import ExternalScorerClient
+
         with ExternalScorerClient.from_spec(spec) as client:
             yield external(client)
 
@@ -242,17 +244,20 @@ def cmd_extract(args: argparse.Namespace) -> None:
 def cmd_filter(args: argparse.Namespace) -> None:
     if not 0.0 <= args.threshold <= 1.0:
         raise ValueError(f"--threshold must lie in [0, 1], got {args.threshold}")
-    kb = _load_kb_from_args(args)
-    templates = (
-        HypothesisTemplates.load(args.templates)
-        if args.templates
-        else HypothesisTemplates({})
-    )
-    dataset = load_dataset(args.input)
-    sentences = [sentence for sentence, _ in dataset]
+    from .scorers import ExternalNliScorer, TableNliScorer
+
     # The mock keeps everything: deterministic and above any sane threshold.
     mock = functools.partial(TableNliScorer, default=1.0)
+    # The scorer starts first, so that its start-up overlaps the loading.
     with _open_scorer(args.scorer, mock, ExternalNliScorer) as scorer:
+        kb = _load_kb_from_args(args)
+        templates = (
+            HypothesisTemplates.load(args.templates)
+            if args.templates
+            else HypothesisTemplates({})
+        )
+        dataset = load_dataset(args.input)
+        sentences = [sentence for sentence, _ in dataset]
         kept = entailment_filter(
             sentences, [triples for _, triples in dataset], templates, scorer,
             args.threshold, kb,
@@ -317,6 +322,8 @@ def cmd_targets(args: argparse.Namespace) -> None:
 def _load_tries(args: argparse.Namespace, tokenizer: ByteTokenizer) -> DecodingTries:
     """Each trie from its ``--<kind>-trie`` cache when given, else built from
     the KB, which is read only when some cache is missing."""
+    from .decode import DecodingTries
+
     kb = None
     tries = {}
     for kind in TRIE_KINDS:
@@ -337,6 +344,9 @@ def _load_tries(args: argparse.Namespace, tokenizer: ByteTokenizer) -> DecodingT
 
 
 def cmd_decode(args: argparse.Namespace) -> None:
+    from .decode import beam_search
+    from .scorers import ExternalLmScorer, NgramScorer
+
     tokenizer = ByteTokenizer()
     instances = unique_records(args.input, read_jsonl(args.input))
     gold_targets = [
@@ -373,6 +383,8 @@ def cmd_decode(args: argparse.Namespace) -> None:
 
 
 def cmd_score(args: argparse.Namespace) -> None:
+    from .evaluation import score_predictions
+
     kb = _load_kb_from_args(args)
     predictions = {
         instance_id: parse_linearized(output)

@@ -15,9 +15,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator, Sequence
 
 YEAR_RE = re.compile(r"^[0-9]{1,4}$")
+
+# (line number, fields) rows of one KB file, or of in-memory records.
+_Rows = Iterable[tuple[int, Sequence[str]]]
+_NO_RELATIONS: frozenset[str] = frozenset()
 
 
 def is_year_literal(value: str) -> bool:
@@ -63,40 +67,55 @@ class KbStore:
         self._pairs: dict[tuple[str, str], set[str]] = {}
 
     # -- construction ------------------------------------------------------
+    #
+    # ``source`` names the file in error messages; None for in-memory records.
 
-    def _add_entity(self, qid: str, title: str) -> None:
-        if not qid or not title:
-            raise KbIntegrityError(f"entity with empty qid or title: {(qid, title)!r}")
-        if is_year_literal(qid):
-            raise KbIntegrityError(f"entity qid {qid!r} reads as a year literal")
-        if qid in self._title_of:
-            raise KbIntegrityError(f"duplicate entity qid {qid!r}")
-        if title in self._qid_of:
-            raise KbIntegrityError(f"duplicate entity title {title!r}")
-        self._title_of[qid] = title
-        self._qid_of[title] = qid
+    def _add_entities(self, rows: _Rows, source: str | None) -> None:
+        title_of, qid_of = self._title_of, self._qid_of
+        for lineno, (qid, title) in rows:
+            if not qid or not title:
+                problem = f"entity with empty qid or title: {(qid, title)!r}"
+            elif is_year_literal(qid):
+                problem = f"entity qid {qid!r} reads as a year literal"
+            elif qid in title_of:
+                problem = f"duplicate entity qid {qid!r}"
+            elif title in qid_of:
+                problem = f"duplicate entity title {title!r}"
+            else:
+                title_of[qid] = title
+                qid_of[title] = qid
+                continue
+            raise KbIntegrityError(_located(source, lineno, problem))
 
-    def _add_relation(self, pid: str, label: str, _description: str) -> None:
+    def _add_relations(self, rows: _Rows, source: str | None) -> None:
+        label_of, pid_of = self._label_of, self._pid_of
         # The description column is required in the file but not kept.
-        if not pid or not label:
-            raise KbIntegrityError(f"relation with empty pid or label: {(pid, label)!r}")
-        if pid in self._label_of:
-            raise KbIntegrityError(f"duplicate relation pid {pid!r}")
-        if label in self._pid_of:
-            raise KbIntegrityError(f"duplicate relation label {label!r}")
-        self._label_of[pid] = label
-        self._pid_of[label] = pid
+        for lineno, (pid, label, _description) in rows:
+            if not pid or not label:
+                problem = f"relation with empty pid or label: {(pid, label)!r}"
+            elif pid in label_of:
+                problem = f"duplicate relation pid {pid!r}"
+            elif label in pid_of:
+                problem = f"duplicate relation label {label!r}"
+            else:
+                label_of[pid] = label
+                pid_of[label] = pid
+                continue
+            raise KbIntegrityError(_located(source, lineno, problem))
 
-    def _add_triple(self, head: str, pid: str, tail: str) -> None:
-        if head not in self._title_of:
-            raise KbIntegrityError(f"triple head {head!r} is not a known entity")
-        if pid not in self._label_of:
-            raise KbIntegrityError(f"triple relation {pid!r} is not a known relation")
-        if self.value_label(tail) is None:
-            raise KbIntegrityError(
-                f"triple tail {tail!r} is neither a known entity nor a year literal"
-            )
-        self._pairs.setdefault((head, tail), set()).add(pid)
+    def _add_triples(self, rows: _Rows, source: str | None) -> None:
+        title_of, label_of, pairs = self._title_of, self._label_of, self._pairs
+        for lineno, (head, pid, tail) in rows:
+            if head not in title_of:
+                problem = f"triple head {head!r} is not a known entity"
+            elif pid not in label_of:
+                problem = f"triple relation {pid!r} is not a known relation"
+            elif self.value_label(tail) is None:
+                problem = f"triple tail {tail!r} is neither a known entity nor a year literal"
+            else:
+                pairs.setdefault((head, tail), set()).add(pid)
+                continue
+            raise KbIntegrityError(_located(source, lineno, problem))
 
     @classmethod
     def from_records(
@@ -107,12 +126,9 @@ class KbStore:
     ) -> "KbStore":
         """Build a store from already-parsed tuples (mainly for tests)."""
         store = cls()
-        for qid, title in entities:
-            store._add_entity(qid, title)
-        for pid, label, description in relations:
-            store._add_relation(pid, label, description)
-        for head, pid, tail in triples:
-            store._add_triple(head, pid, tail)
+        store._add_entities(enumerate(entities, start=1), None)
+        store._add_relations(enumerate(relations, start=1), None)
+        store._add_triples(enumerate(triples, start=1), None)
         return store
 
     # -- lookups -----------------------------------------------------------
@@ -147,12 +163,13 @@ class KbStore:
             return qid
         return label if is_year_literal(label) else None
 
-    def relations_between(self, head: str, tail: str) -> set[str]:
+    def relations_between(self, head: str, tail: str) -> AbstractSet[str]:
         """Pids of stored triples with exactly this directed (head, tail).
 
-        Total: unknown ids simply yield the empty set.
+        Total: unknown ids simply yield the empty set. The set is the
+        store's own, not a copy, so callers only read it.
         """
-        return set(self._pairs.get((head, tail), ()))
+        return self._pairs.get((head, tail), _NO_RELATIONS)
 
     def entity_titles(self) -> Iterator[str]:
         return iter(self._qid_of)
@@ -177,13 +194,21 @@ class KbStore:
         return sum(map(len, self._pairs.values()))
 
 
+def _located(source: str | None, lineno: int, problem: str) -> str:
+    return problem if source is None else f"{source}:{lineno}: {problem}"
+
+
 def _read_tsv(path: str, n_fields: int) -> Iterator[tuple[int, list[str]]]:
+    """``(line number, fields)`` of each non-blank line, in one pass.
+
+    The file is read with universal newlines, so a CRLF ending is gone
+    before the line is split.
+    """
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip():
+            if line.isspace():
                 continue
-            fields = line.split("\t")
+            fields = line.rstrip("\n").split("\t")
             if len(fields) != n_fields:
                 raise KbLoadError(
                     f"{path}:{lineno}: expected {n_fields} tab-separated fields, "
@@ -203,14 +228,7 @@ def load_kb(entities_path: str, relations_path: str, triples_path: str) -> KbSto
     offending location.
     """
     store = KbStore()
-    for path, n_fields, add in (
-        (entities_path, 2, store._add_entity),
-        (relations_path, 3, store._add_relation),
-        (triples_path, 3, store._add_triple),
-    ):
-        for lineno, fields in _read_tsv(path, n_fields):
-            try:
-                add(*fields)
-            except KbIntegrityError as exc:
-                raise KbIntegrityError(f"{path}:{lineno}: {exc}") from None
+    store._add_entities(_read_tsv(entities_path, 2), entities_path)
+    store._add_relations(_read_tsv(relations_path, 3), relations_path)
+    store._add_triples(_read_tsv(triples_path, 3), triples_path)
     return store

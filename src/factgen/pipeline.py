@@ -20,11 +20,13 @@ import math
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Iterable, Sequence, TypeVar
 
 from .kb import KbStore, Triple
 from .linearize import LinkedSentence, order_triples
-from .scorers import NliScorer
+
+if TYPE_CHECKING:
+    from .scorers import NliScorer
 
 logger = logging.getLogger(__name__)
 
@@ -95,7 +97,10 @@ def extract_ds_triples(sentence: LinkedSentence, kb: KbStore) -> list[Triple]:
         for tail_span in spans:
             if tail_span is head_span:
                 continue
-            for pid in sorted(kb.relations_between(head_span.link, tail_span.link)):
+            pids = kb.relations_between(head_span.link, tail_span.link)
+            if not pids:
+                continue
+            for pid in sorted(pids):
                 triple = Triple(head_span.link, pid, tail_span.link)
                 if triple not in seen:
                     seen.add(triple)
@@ -133,11 +138,24 @@ class HypothesisTemplates:
             for lineno, line in enumerate(handle, start=1):
                 if not line.strip():
                     continue
+                context = f"{path}:{lineno}"
                 try:
                     row = json.loads(line)
-                    by_pid[row["pid"]] = list(row["templates"])
-                except (KeyError, ValueError) as exc:
-                    raise TemplateError(f"{path}:{lineno}: {exc}") from None
+                except ValueError as exc:
+                    raise TemplateError(f"{context}: {exc}") from None
+                if type(row) is not dict:
+                    raise TemplateError(f"{context}: template row must be an object, got {row!r}")
+                try:
+                    pid, templates = row["pid"], row["templates"]
+                except KeyError as exc:
+                    raise TemplateError(f"{context}: {exc}") from None
+                if type(pid) is not str:
+                    raise TemplateError(f"{context}: pid must be str, got {pid!r}")
+                if type(templates) is not list or any(type(t) is not str for t in templates):
+                    raise TemplateError(
+                        f"{context}: templates must be a list of str, got {templates!r}"
+                    )
+                by_pid[pid] = templates
         return cls(by_pid)
 
     def _label(self, kb: KbStore, value: str) -> str:

@@ -13,6 +13,7 @@ pair; prediction records carry the generated linearized string.
 from __future__ import annotations
 
 import json
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .kb import Triple
@@ -27,7 +28,7 @@ class RecordError(Exception):
 def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
+            if line.isspace():
                 continue
             try:
                 row = json.loads(line)
@@ -38,8 +39,9 @@ def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
             yield lineno, row
 
 
-# json.dumps with these options builds a new encoder on every call.
-_ROW_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+# json.dumps with these options builds a new encoder on every call. Rows
+# are trees of fresh dicts and lists, so there is no cycle to look for.
+_ROW_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, check_circular=False)
 
 
 def write_jsonl(path: str, rows: Iterable[Mapping]) -> int:
@@ -84,16 +86,17 @@ def _span_from_input(raw: Mapping, context: str) -> MentionSpan:
         start, end, surface = raw["start"], raw["end"], raw["surface"]
     except KeyError as exc:
         raise RecordError(f"{context}: span lacks {exc}") from None
-    _check_type(context, "start", start, int)
-    _check_type(context, "end", end, int)
-    _check_type(context, "surface", surface, str)
+    if type(start) is not int or type(end) is not int or type(surface) is not str:
+        _check_type(context, "start", start, int)
+        _check_type(context, "end", end, int)
+        _check_type(context, "surface", surface, str)
     link = raw.get("link")
     if link is None and "date" in raw:
         link = map_date_to_year(str(raw["date"]))
     elif link is not None and type(link) is not str:
         raise RecordError(f"{context}: link must be str or null, got {link!r}")
     try:
-        return MentionSpan(start=start, end=end, surface=surface, link=link)
+        return MentionSpan(start, end, surface, link)
     except ValueError as exc:
         raise RecordError(f"{context}: {exc}") from None
 
@@ -105,12 +108,10 @@ def sentence_from_input_record(row: Mapping, context: str = "<record>") -> Linke
     except KeyError as exc:
         raise RecordError(f"{context}: record lacks {exc}") from None
     _check_type(context, "text", text, str)
-    spans = sorted(
-        (_span_from_input(s, context) for s in row.get("spans", ())),
-        key=lambda s: s.start,
-    )
+    spans = [_span_from_input(s, context) for s in row.get("spans", ())]
+    spans.sort(key=attrgetter("start"))
     try:
-        return LinkedSentence(text=text, spans=tuple(spans), id=sid)
+        return LinkedSentence(text, tuple(spans), sid)
     except ValueError as exc:
         raise RecordError(f"{context}: {exc}") from None
 
@@ -158,14 +159,16 @@ def parse_dataset_record(
     try:
         text = row["text"]
         _check_type(context, "text", text, str)
-        spans = tuple(_span_from_input(s, context) for s in row.get("spans", ()))
-        sentence = LinkedSentence(text=text, spans=spans, id=str(row["id"]))
+        spans = tuple([_span_from_input(s, context) for s in row.get("spans", ())])
+        sentence = LinkedSentence(text, spans, str(row["id"]))
         triples = []
         for t in row.get("triples", ()):
-            fields = t["head"], t["pid"], t["tail"]
-            for name, value in zip(("head", "pid", "tail"), fields):
-                _check_type(context, name, value, str)
-            triples.append(Triple(*fields))
+            head, pid, tail = t["head"], t["pid"], t["tail"]
+            if type(head) is not str or type(pid) is not str or type(tail) is not str:
+                _check_type(context, "head", head, str)
+                _check_type(context, "pid", pid, str)
+                _check_type(context, "tail", tail, str)
+            triples.append(Triple(head, pid, tail))
     except (KeyError, ValueError, TypeError) as exc:
         raise RecordError(f"{context}: {exc}") from None
     return sentence, triples

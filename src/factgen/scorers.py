@@ -8,13 +8,14 @@ gold targets, add-one smoothing) and a table-backed entailment stub.
 Real models attach through the external scorer protocol: newline-delimited
 JSON over a connected socket, either one end of a Unix socket pair whose
 other end is a child process's stdin and stdout, or a TCP connection; both
-share one reader, writer and close path. Requests are
+share one exchange and close path. Requests are
 ``{"type": "lm", "prefix": [ids], "candidates": [ids]}`` answered by
 ``{"logprobs": [floats]}`` aligned to the candidates, and
 ``{"type": "nli", "premise": str, "hypothesis": str}`` answered by
 ``{"entail": p}``. One request per line; responses come back in request
-order, so a client may write several requests before reading their
-responses.
+order. The client writes every request of a batch while it reads the
+answers, so neither side waits on a full socket buffer whatever the size
+of the batch.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import errno
 import json
 import math
+import select
 import shlex
 import socket
 import subprocess
@@ -29,10 +31,6 @@ import threading
 from collections import Counter
 from typing import Protocol, Sequence
 
-
-# NLI requests the client writes before reading their responses; see
-# ExternalScorerClient.nli_entail_batch.
-NLI_WINDOW = 64
 
 # Seconds ExternalScorerClient.close waits for an exec: child to exit once
 # its input has ended, before it kills the child.
@@ -117,13 +115,16 @@ def _is_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _parse_response(line: str) -> dict:
+def _parse_response(line: bytes) -> dict:
+    """One response line, its newline included."""
     try:
-        response = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ScorerProtocolError(f"bad scorer response line: {line!r}") from exc
+        response = json.loads(line.decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        text = line.decode("utf-8", "replace")
+        raise ScorerProtocolError(f"bad scorer response line: {text!r}") from exc
     if not isinstance(response, dict):
-        raise ScorerProtocolError(f"scorer response is not an object: {line!r}")
+        text = line.decode("utf-8")
+        raise ScorerProtocolError(f"scorer response is not an object: {text!r}")
     return response
 
 
@@ -143,16 +144,18 @@ class ExternalScorerClient:
 
     The scorer is a connected socket, with ``proc`` the child process on
     its far end for ``exec:``. Exchanges are serialized under an internal
-    lock: an exchange writes its requests, then reads one response per
+    lock: an exchange sends its requests and reads one response per
     request, relying on the protocol's in-order response guarantee.
     """
 
     def __init__(self, sock: socket.socket, proc: subprocess.Popen | None = None) -> None:
+        sock.setblocking(False)
         self._sock = sock
-        self._reader = sock.makefile("r", encoding="utf-8")
-        self._writer = sock.makefile("w", encoding="utf-8")
         self._proc = proc
         self._lock = threading.Lock()
+        # Bytes after the last response line an exchange wanted; the next
+        # exchange reads them first.
+        self._unread = b""
 
     @classmethod
     def from_spec(cls, spec: str) -> "ExternalScorerClient":
@@ -178,22 +181,41 @@ class ExternalScorerClient:
         raise ValueError(f"scorer spec must start with exec: or tcp:, got {spec!r}")
 
     def _exchange(self, payloads: Sequence[dict]) -> list[dict]:
-        """Write every request in one flush, then read their responses."""
+        """Send every request while reading the responses, then parse them.
+
+        The loop receives whenever the socket has data, so the scorer never
+        blocks writing a response while requests are still being sent: no
+        batch can deadlock, whatever the socket buffer sizes. A bad response
+        raises only after the whole batch has been read, so the next
+        exchange gets its own answers.
+        """
+        sock = self._sock
+        wanted = len(payloads)
+        pending = memoryview("".join([json.dumps(p) + "\n" for p in payloads]).encode("utf-8"))
         with self._lock:
-            try:
-                self._writer.write("".join(json.dumps(payload) + "\n" for payload in payloads))
-                self._writer.flush()
-            except (BrokenPipeError, ConnectionResetError):  # it is gone already
-                raise ScorerProtocolError(
-                    f"scorer closed the stream before taking the {payloads[0]['type']} request"
-                ) from None
-            try:
-                lines = [self._reader.readline() for _ in payloads]
-            except ConnectionResetError:  # it hung up with requests unread
-                lines = [""]
-        if "" in lines:  # end of file: every later read returns "" at once
-            raise ScorerProtocolError("scorer closed the stream before answering")
-        return [_parse_response(line) for line in lines]
+            received = bytearray(self._unread)
+            lines = received.count(b"\n")
+            while lines < wanted:
+                readable, writable, _ = select.select([sock], [sock] if pending else [], [])
+                if writable:  # first: a scorer that is gone fails the write
+                    try:
+                        pending = pending[sock.send(pending) :]
+                    except (BrokenPipeError, ConnectionResetError):
+                        raise ScorerProtocolError(
+                            "scorer closed the stream before taking the "
+                            f"{payloads[0]['type']} request"
+                        ) from None
+                if readable:
+                    try:
+                        chunk = sock.recv(1 << 16)
+                    except ConnectionResetError:  # it hung up with requests unread
+                        chunk = b""
+                    if not chunk:
+                        raise ScorerProtocolError("scorer closed the stream before answering")
+                    received += chunk
+                    lines += chunk.count(b"\n")
+            *answers, self._unread = bytes(received).split(b"\n", wanted)
+        return [_parse_response(line + b"\n") for line in answers]
 
     def request(self, payload: dict) -> dict:
         return self._exchange([payload])[0]
@@ -214,35 +236,21 @@ class ExternalScorerClient:
         return [float(v) for v in logprobs]
 
     def nli_entail_batch(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
-        """Entailment probability per ``(premise, hypothesis)`` pair, in order.
-
-        One ``nli`` request per pair, with the same bytes and order as one
-        round trip per pair, but written in windows of ``NLI_WINDOW``
-        requests before their responses are read. That cannot deadlock: at
-        most ``NLI_WINDOW`` responses wait unread, and that many
-        ``{"entail": p}`` lines (about 2 KB) stay far below what a connected
-        socket buffers (Linux gives a Unix socket pair 208 KiB by default,
-        ``net.core.wmem_default``), so the scorer never blocks writing a
-        response while the client is still writing requests.
-        """
-        scores = []
-        for start in range(0, len(pairs), NLI_WINDOW):
-            requests = [
-                {"type": "nli", "premise": premise, "hypothesis": hypothesis}
-                for premise, hypothesis in pairs[start : start + NLI_WINDOW]
-            ]
-            scores.extend(map(_entail_value, self._exchange(requests)))
-        return scores
+        """Entailment probability per ``(premise, hypothesis)`` pair, in order:
+        one ``nli`` request per pair, all of them in one exchange."""
+        requests = [
+            {"type": "nli", "premise": premise, "hypothesis": hypothesis}
+            for premise, hypothesis in pairs
+        ]
+        return [_entail_value(response) for response in self._exchange(requests)]
 
     def close(self) -> None:
         """End the scorer's input, wait for an ``exec:`` child to exit (else
         kill it and raise), and close the stream."""
         try:
-            self._writer.close()
             self._sock.shutdown(socket.SHUT_WR)
         except OSError as exc:
-            # A peer that is gone needs no end of input, nor the requests
-            # a failed _exchange left in the writer.
+            # A peer that is gone needs no end of input.
             if exc.errno not in (errno.ENOTCONN, errno.EPIPE, errno.ECONNRESET):
                 raise
         finally:
@@ -250,7 +258,6 @@ class ExternalScorerClient:
                 if self._proc is not None:
                     self._wait_for_child()
             finally:
-                self._reader.close()
                 self._sock.close()
 
     def _wait_for_child(self) -> None:

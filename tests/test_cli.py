@@ -13,7 +13,7 @@ from factgen import cli
 from factgen.kb import Triple, load_kb
 from factgen.pipeline import HypothesisTemplates
 from factgen.records import load_dataset, write_jsonl
-from factgen.scorers import NLI_WINDOW, ExternalScorerClient
+from factgen.scorers import ExternalScorerClient
 
 from .corpus import (
     CLI,
@@ -486,12 +486,13 @@ def test_decode_reads_the_kb_only_to_build_a_missing_trie(tmp_path, mode):
         Path(path).unlink()
     assert cli.main(argv) == 0
     assert (out.read_bytes(), manifest.read_bytes()) == with_kb
-    # The --kb-* flags are optional; the manifest lists only the inputs given.
+    # The --kb-* flags are optional; the manifest lists only the inputs given,
+    # the trie caches after the instances.
     argv = ["decode", "--input", str(data), "--mode", mode, *tries,
             "--beam", "2", "--max-len", "64", "--out", str(out)]
     assert cli.main(argv) == 0
     assert out.read_bytes() == with_kb[0]
-    assert json.loads(manifest.read_bytes())["inputs"] == [str(data)]
+    assert json.loads(manifest.read_bytes())["inputs"] == [str(data), *tries[1::2]]
 
 
 def test_decode_names_the_kb_flags_a_trie_build_lacks(kb_paths, tmp_path, capsys):
@@ -575,7 +576,7 @@ def test_exec_scorer_is_closed_when_the_stage_fails(
         assert "rerun build-trie" in error["error"]
     assert closed == opened
     assert all(
-        client._proc.returncode == 0 and client._reader.closed and client._sock.fileno() == -1
+        client._proc.returncode == 0 and client._sock.fileno() == -1
         for client in opened
     )
     assert not out.exists()
@@ -672,6 +673,25 @@ PINNED_MANIFESTS = {
         "outputs": ["<run>/predictions.jsonl"], "seed": None,
         "record_counts": {"predictions": 16},
     },
+    "filtered-templated.jsonl.manifest.json": {
+        "stage": "filter", "config": {"scorer": "mock", "threshold": 0.7},
+        "inputs": ["<run>/extracted.jsonl", *KB_INPUTS, "<run>/templates.jsonl"],
+        "outputs": ["<run>/filtered-templated.jsonl"], "seed": None,
+        "record_counts": {"kept_triples": 14, "sentences": 20},
+    },
+    "predictions-cached.jsonl.manifest.json": {
+        "stage": "decode",
+        "config": {
+            "beam": 4, "max_len": 96, "mode": "constrained", "ngram_order": 2,
+            "scorer": "mock",
+        },
+        "inputs": [
+            "<run>/targets.jsonl", "<run>/entity.trie", "<run>/relation.trie",
+            "<run>/tail.trie",
+        ],
+        "outputs": ["<run>/predictions-cached.jsonl"], "seed": None,
+        "record_counts": {"predictions": 16},
+    },
     "report.json.manifest.json": {
         "stage": "score", "config": {},
         "inputs": ["<run>/predictions.jsonl", "<run>/dataset.jsonl", *KB_INPUTS],
@@ -689,6 +709,17 @@ def manifest_run(kb_paths, tmp_path_factory) -> Path:
     run_cli(
         "build-trie", *kb_flags(kb_paths), "--out-entity", run / "entity.trie",
         "--out-relation", run / "relation.trie", "--out-tail", run / "tail.trie",
+    )
+    # The files a stage reads beyond its input and the KB: templates, caches.
+    write_jsonl(str(run / "templates.jsonl"), [{"pid": "P36", "templates": ["{head}: {tail}"]}])
+    run_cli(
+        "filter", "--input", run / "extracted.jsonl", *kb_flags(kb_paths),
+        "--templates", run / "templates.jsonl", "--out", run / "filtered-templated.jsonl",
+    )
+    run_cli(
+        "decode", "--input", run / "targets.jsonl", "--entity-trie", run / "entity.trie",
+        "--relation-trie", run / "relation.trie", "--tail-trie", run / "tail.trie",
+        "--max-len", "96", "--out", run / "predictions-cached.jsonl",
     )
     return run
 
@@ -816,7 +847,7 @@ RECORDING_STUB = (
 
 
 def test_filter_sends_the_per_triple_request_lines_in_order(kb_paths, tmp_path):
-    # More hypotheses than one window, two templates for P36: the stub must
+    # More than a hundred hypotheses, two templates for P36: the stub must
     # read exactly the lines a loop over sentences, triples and templates
     # sends one round trip at a time.
     templates = tmp_path / "templates.jsonl"
@@ -845,7 +876,7 @@ def test_filter_sends_the_per_triple_request_lines_in_order(kb_paths, tmp_path):
         for triple in triples
         for hypothesis in rendering.hypotheses_for(triple, kb)
     ]
-    assert len(expected) > 2 * NLI_WINDOW
+    assert len(expected) > 128
     assert log.read_text(encoding="utf-8").splitlines() == expected
     # Each score went back to its own triple: the stub scores
     # (len(premise) + len(hypothesis)) % 10 / 10.
@@ -872,7 +903,7 @@ def test_bad_entail_in_mid_window_fails_filter_and_closes_the_client(
     stub = Path(__file__).parent / "bad_stub_scorer.py"
     out = tmp_path / "filtered.jsonl"
     # The first 70 responses are good, so the bad one is mid-way through
-    # the second window.
+    # the batch.
     code = cli.main(
         ["filter", "--input", str(extracted), *kb_flags(kb_paths),
          "--scorer", f"exec:{sys.executable} {stub} nli-nan 70", "--out", str(out)]
@@ -885,8 +916,73 @@ def test_bad_entail_in_mid_window_fails_filter_and_closes_the_client(
     )
     assert len(opened) == 1 and closed == opened
     assert opened[0]._proc.returncode == 0
-    assert opened[0]._reader.closed and opened[0]._sock.fileno() == -1
+    assert opened[0]._sock.fileno() == -1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        (["P36", ["{head} x {tail}"]],
+         "template row must be an object, got ['P36', ['{head} x {tail}']]"),
+        ({"pid": "P36", "templates": "{head} x {tail}"},
+         "templates must be a list of str, got '{head} x {tail}'"),
+        ({"pid": "P36", "templates": ["{head} x {tail}", 7]},
+         "templates must be a list of str, got ['{head} x {tail}', 7]"),
+        ({"pid": 36, "templates": ["{head} x {tail}"]}, "pid must be str, got 36"),
+        ({"templates": ["{head} x {tail}"]}, "'pid'"),
+    ],
+    ids=["array-row", "string-templates", "int-template", "int-pid", "no-pid"],
+)
+def test_bad_template_row_fails_filter_with_its_line(kb_paths, tmp_path, capsys, row, message):
+    templates = tmp_path / "templates.jsonl"
+    good = {"pid": "P17", "templates": ["{head} is in {tail}."]}
+    templates.write_text(json.dumps(good) + "\n" + json.dumps(row) + "\n", encoding="utf-8")
+    data = tmp_path / "extracted.jsonl"
+    data.write_text("")
+    out = tmp_path / "filtered.jsonl"
+    code = cli.main(
+        ["filter", "--input", str(data), *kb_flags(kb_paths), "--templates", str(templates),
+         "--out", str(out)]
+    )
+    assert code == 1
+    assert stage_error(capsys) == {
+        "stage": "filter", "error": f"TemplateError: {templates}:2: {message}",
+    }
+    assert not out.exists()
+
+
+# Runs the given stages through cli.main in one fresh process and prints the
+# factgen modules imported after each.
+STAGE_IMPORTS = """
+import json, sys
+from factgen import cli
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+    print(json.dumps(sorted(m for m in sys.modules if m.startswith("factgen."))))
+"""
+
+
+def test_dataset_stages_import_no_decoder_evaluation_or_scorers(kb_paths, tmp_path):
+    sentences = scaled_corpus(tmp_path / "sentences.jsonl", 1)
+    o = lambda name: str(tmp_path / name)  # noqa: E731
+    stages = [
+        ["extract", "--input", sentences, *kb_flags(kb_paths), "--out", o("ex.jsonl")],
+        ["negatives", "--input", o("ex.jsonl"), "--out", o("ds.jsonl")],
+        ["split", "--input", o("ds.jsonl"), "--out-dir", o("splits")],
+        ["targets", "--input", o("ds.jsonl"), *kb_flags(kb_paths), "--out", o("t.jsonl")],
+        ["filter", "--input", o("ex.jsonl"), *kb_flags(kb_paths), "--out", o("fi.jsonl")],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", STAGE_IMPORTS, json.dumps(stages)],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    *dataset_stages, after_filter = map(json.loads, proc.stdout.splitlines())
+    unused = {"factgen.decode", "factgen.evaluation", "factgen.scorers"}
+    assert len(dataset_stages) == 4
+    assert all(unused.isdisjoint(modules) for modules in dataset_stages)
+    # filter imports the scorers, and nothing more of the three.
+    assert unused & set(after_filter) == {"factgen.scorers"}
 
 
 def test_negatives_never_reads_the_kb(tmp_path):

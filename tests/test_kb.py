@@ -239,3 +239,73 @@ def test_value_rule_matches_bruteforce_oracle(case):
     triples = sorted({Triple(*row) for row in triple_rows})
     parsed = parse_linearized(linearize(triples, store))
     assert [resolve_raw_triple(raw, store) for raw in parsed] == triples
+
+
+# Every load error, by the file and line it names and its exact text. The
+# good rows sit on line 1 of each file, so each bad row is on line 2.
+GOOD_ENTITY = ("Q1", "Alpha")
+GOOD_RELATION = ("P1", "founded", "")
+
+
+@pytest.mark.parametrize(
+    "bad_file, bad_row, error, message",
+    [
+        ("entities", ("Q2",), KbLoadError, "expected 2 tab-separated fields, got 1"),
+        ("entities", ("Q2", "B", "x"), KbLoadError, "expected 2 tab-separated fields, got 3"),
+        ("relations", ("P2", "r"), KbLoadError, "expected 3 tab-separated fields, got 2"),
+        ("triples", ("Q1", "P1"), KbLoadError, "expected 3 tab-separated fields, got 2"),
+        ("entities", ("", "Beta"), KbIntegrityError,
+         "entity with empty qid or title: ('', 'Beta')"),
+        ("entities", ("Q2", ""), KbIntegrityError,
+         "entity with empty qid or title: ('Q2', '')"),
+        ("relations", ("", "r", ""), KbIntegrityError,
+         "relation with empty pid or label: ('', 'r')"),
+        ("relations", ("P2", "", ""), KbIntegrityError,
+         "relation with empty pid or label: ('P2', '')"),
+        ("entities", ("1999", "Beta"), KbIntegrityError,
+         "entity qid '1999' reads as a year literal"),
+        ("entities", ("Q1", "Beta"), KbIntegrityError, "duplicate entity qid 'Q1'"),
+        ("entities", ("Q2", "Alpha"), KbIntegrityError, "duplicate entity title 'Alpha'"),
+        ("relations", ("P1", "r", ""), KbIntegrityError, "duplicate relation pid 'P1'"),
+        ("relations", ("P2", "founded", ""), KbIntegrityError,
+         "duplicate relation label 'founded'"),
+        ("triples", ("Q9", "P1", "Q1"), KbIntegrityError,
+         "triple head 'Q9' is not a known entity"),
+        ("triples", ("Q1", "P9", "Q1"), KbIntegrityError,
+         "triple relation 'P9' is not a known relation"),
+        ("triples", ("Q1", "P1", "Q404"), KbIntegrityError,
+         "triple tail 'Q404' is neither a known entity nor a year literal"),
+        ("triples", ("Q1", "P1", "12345"), KbIntegrityError,
+         "triple tail '12345' is neither a known entity nor a year literal"),
+    ],
+)
+def test_every_load_error_names_its_file_and_line(tmp_path, bad_file, bad_row, error, message):
+    rows = {
+        "entities": [GOOD_ENTITY],
+        "relations": [GOOD_RELATION],
+        "triples": [("Q1", "P1", "1999")],
+    }
+    rows[bad_file].append(bad_row)
+    paths = write_kb_files(tmp_path, rows["entities"], rows["relations"], rows["triples"])
+    with pytest.raises(error) as raised:
+        load_kb(*paths)
+    assert type(raised.value) is error
+    assert str(raised.value) == f"{tmp_path / bad_file}.tsv:2: {message}"
+
+
+def test_blank_lines_and_crlf_endings_are_read_as_before(tmp_path):
+    # Blank (or whitespace-only) lines are skipped but still counted, and a
+    # CRLF ending is no part of the last field.
+    (tmp_path / "entities.tsv").write_bytes(b"Q1\tAlpha\r\n\n \t \nQ2\tBeta\r\n")
+    (tmp_path / "relations.tsv").write_bytes(b"P1\tfounded\t\r\n")
+    (tmp_path / "triples.tsv").write_bytes(b"Q1\tP1\tQ2\r\n\r\nQ2\tP1\tQ3\r\n")
+    paths = [str(tmp_path / f"{name}.tsv") for name in ("entities", "relations", "triples")]
+    with pytest.raises(KbIntegrityError) as raised:
+        load_kb(*paths)
+    assert str(raised.value) == (
+        f"{paths[2]}:3: triple tail 'Q3' is neither a known entity nor a year literal"
+    )
+    (tmp_path / "triples.tsv").write_bytes(b"Q1\tP1\tQ2\r\n")
+    store = load_kb(*paths)
+    assert store.entity_label("Q2") == "Beta"
+    assert store.relations_between("Q1", "Q2") == {"P1"}

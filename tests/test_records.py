@@ -163,3 +163,98 @@ def test_wrong_typed_field_is_a_record_error_with_its_line(tmp_path, loader, row
     with pytest.raises(RecordError) as raised:
         loader(str(path))
     assert str(raised.value) == f"{path}:2: {message}"
+
+
+TEXT = "Rome and Paris."
+ROME = {"start": 0, "end": 4, "surface": "Rome", "link": "Q220"}
+PARIS = {"start": 9, "end": 14, "surface": "Paris", "link": "Q90"}
+BOTH_LOADERS = (load_input_sentences, load_dataset)
+
+
+def _with_spans(*spans):
+    return {"id": "s", "text": TEXT, "spans": list(spans)}
+
+
+def _with_triples(*triples):
+    return {"id": "t", "text": TEXT, "spans": [ROME, PARIS], "triples": list(triples)}
+
+
+# Every RecordError a span or a triple can raise, with its exact text. Input
+# spans are sorted by start before the sentence is built; dataset spans are
+# taken in the order written.
+SPAN_AND_TRIPLE_ERRORS = [
+    (BOTH_LOADERS, _with_spans(5), "span must be an object, got 5"),
+    (BOTH_LOADERS, _with_spans([0, 4]), "span must be an object, got [0, 4]"),
+    (BOTH_LOADERS, _with_spans({"end": 4, "surface": "Rome"}), "span lacks 'start'"),
+    (BOTH_LOADERS, _with_spans({"start": 0, "surface": "Rome"}), "span lacks 'end'"),
+    (BOTH_LOADERS, _with_spans({"start": 0, "end": 4}), "span lacks 'surface'"),
+    (BOTH_LOADERS, _with_spans(dict(ROME, start="0")), "start must be int, got '0'"),
+    (BOTH_LOADERS, _with_spans(dict(ROME, end=4.0)), "end must be int, got 4.0"),
+    (BOTH_LOADERS, _with_spans(dict(ROME, end=None)), "end must be int, got None"),
+    (BOTH_LOADERS, _with_spans(dict(ROME, surface=4)), "surface must be str, got 4"),
+    (BOTH_LOADERS, _with_spans(dict(ROME, link=["Q220"])),
+     "link must be str or null, got ['Q220']"),
+    (BOTH_LOADERS, _with_spans(dict(ROME, link=False)), "link must be str or null, got False"),
+    (BOTH_LOADERS, _with_spans(dict(ROME, start=-1)), "bad span offsets [-1, 4)"),
+    (BOTH_LOADERS, _with_spans(dict(ROME, end=0)), "bad span offsets [0, 0)"),
+    (BOTH_LOADERS, _with_spans(dict(PARIS, end=16, surface="Paris.?")),
+     "span [9, 16) outside text"),
+    (BOTH_LOADERS, _with_spans(dict(ROME, surface="Roma")),
+     "span surface 'Roma' does not match text slice 'Rome'"),
+    (BOTH_LOADERS, _with_spans(ROME, dict(ROME, start=2, surface="me")),
+     "span [2, 4) overlaps or is out of order"),
+    ((load_dataset,), _with_spans(PARIS, ROME), "span [0, 4) overlaps or is out of order"),
+    ((load_dataset,), _with_triples(5), "'int' object is not subscriptable"),
+    ((load_dataset,), _with_triples(["Q220", "P1", "Q90"]),
+     "list indices must be integers or slices, not str"),
+    ((load_dataset,), _with_triples({"pid": "P1", "tail": "Q90"}), "'head'"),
+    ((load_dataset,), _with_triples({"head": "Q220", "tail": "Q90"}), "'pid'"),
+    ((load_dataset,), _with_triples({"head": "Q220", "pid": "P1"}), "'tail'"),
+    ((load_dataset,), _with_triples({"head": None, "pid": "P1", "tail": "Q90"}),
+     "head must be str, got None"),
+    ((load_dataset,), _with_triples({"head": "Q220", "pid": 1, "tail": "Q90"}),
+     "pid must be str, got 1"),
+    ((load_dataset,), _with_triples({"head": "Q220", "pid": "P1", "tail": 1776}),
+     "tail must be str, got 1776"),
+    ((load_dataset,), dict(_with_triples(), triples=5), "'int' object is not iterable"),
+    ((load_dataset,), dict(_with_triples(), spans=5), "'int' object is not iterable"),
+    ((load_dataset,), {"id": "t", "spans": []}, "'text'"),
+    ((load_dataset,), {"text": TEXT}, "'id'"),
+    ((load_input_sentences,), {"id": "s"}, "record lacks 'text'"),
+    ((load_input_sentences,), {"text": TEXT}, "record lacks 'id'"),
+]
+
+
+@pytest.mark.parametrize(
+    "loader, row, message",
+    [
+        (loader, row, message)
+        for loaders, row, message in SPAN_AND_TRIPLE_ERRORS
+        for loader in loaders
+    ],
+)
+def test_every_span_and_triple_error_names_its_line(tmp_path, loader, row, message):
+    path = tmp_path / "records.jsonl"
+    good = _with_triples({"head": "Q220", "pid": "P1", "tail": "Q90"})
+    path.write_text(json.dumps(good) + "\n" + json.dumps(row) + "\n")
+    with pytest.raises(RecordError) as raised:
+        loader(str(path))
+    assert str(raised.value) == f"{path}:2: {message}"
+
+
+def test_valid_spans_load_the_same_through_both_loaders(tmp_path):
+    # An input record's date span becomes a year link; a dataset record
+    # carries the link as written. Both give the same sentence.
+    text = "Rome fell in 476 long ago."
+    date = {"start": 13, "end": 16, "surface": "476", "date": "476"}
+    path = tmp_path / "input.jsonl"
+    path.write_text(json.dumps({"id": "r", "text": text, "spans": [date, ROME]}) + "\n")
+    (sentence,) = load_input_sentences(str(path))
+    assert sentence == LinkedSentence(
+        text=text,
+        spans=(MentionSpan(0, 4, "Rome", "Q220"), MentionSpan(13, 16, "476", "476")),
+        id="r",
+    )
+    write_jsonl(str(path), [dataset_record(sentence, [Triple("Q220", "P1", "476")])])
+    ((loaded, triples),) = load_dataset(str(path))
+    assert loaded == sentence and triples == [Triple("Q220", "P1", "476")]

@@ -7,6 +7,7 @@ import select
 import socket
 import socketserver
 import struct
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -15,7 +16,6 @@ import pytest
 
 from factgen import scorers
 from factgen.scorers import (
-    NLI_WINDOW,
     ExternalLmScorer,
     ExternalNliScorer,
     ExternalScorerClient,
@@ -162,16 +162,81 @@ def nli_pairs(count: int) -> list[tuple[str, str]]:
 
 
 def test_pipelined_nli_roundtrip(client):
-    # Three windows, the last one partial, then an lm request on the same
-    # stream: every response is matched to its own request.
-    pairs = nli_pairs(2 * NLI_WINDOW + 5)
+    # A batch of 133 requests, then an lm request on the same stream: every
+    # response is matched to its own request.
+    pairs = nli_pairs(133)
     assert client.nli_entail_batch(pairs) == [stub_nli_entail(*p) for p in pairs]
     assert client.lm_logprobs([5], [3]) == [stub_lm_logprob(3)]
     assert client.nli_entail_batch([]) == []
 
 
+# Answers each request as it arrives or, given a count, reads that many
+# requests before it answers any.
+BATCH_STUB = (
+    "import json, sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "from stub_scorer import handle\n"
+    "hoard = int(sys.argv[2])\n"
+    "lines = [sys.stdin.readline() for _ in range(hoard)] if hoard else sys.stdin\n"
+    "for line in lines:\n"
+    "    sys.stdout.write(json.dumps(handle(line)) + '\\n'); sys.stdout.flush()\n"
+)
+
+# Run in a subprocess with a timeout, so that a deadlock fails the test: one
+# batch of 20000 nli requests (over 1 MB) whose responses (over 256 KiB) no
+# socket buffer holds, answered in order; then, from a stub still answering,
+# an lm request.
+BIG_BATCH_CHECK = """
+import json, socketserver, sys, threading
+tests_dir, stub, transport, hoard = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
+sys.path.insert(0, tests_dir)
+from stub_scorer import handle, lm_logprob, nli_entail
+from factgen.scorers import ExternalScorerClient
+
+
+class Handler(socketserver.StreamRequestHandler):
+    def handle(self):
+        lines = [self.rfile.readline() for _ in range(hoard)] if hoard else self.rfile
+        for line in lines:
+            self.wfile.write((json.dumps(handle(line)) + "\\n").encode("utf-8"))
+
+
+pairs = [(f"premise {i:05d} " + "p" * (i % 40), "h" * (i % 13)) for i in range(20000)]
+requests = [json.dumps({"type": "nli", "premise": p, "hypothesis": h}) for p, h in pairs]
+assert sum(map(len, requests)) + len(requests) > 1 << 20
+if transport == "exec":
+    spec = f"exec:{sys.executable} {stub} {tests_dir} {hoard}"
+else:
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    spec = "tcp:%s:%d" % server.server_address
+with ExternalScorerClient.from_spec(spec) as client:
+    scores = client.nli_entail_batch(pairs)
+    assert scores == [nli_entail(*pair) for pair in pairs]
+    responses = [json.dumps({"entail": score}) for score in scores]
+    assert sum(map(len, responses)) + len(responses) > 256 << 10
+    if not hoard:
+        assert client.lm_logprobs([5], [3]) == [lm_logprob(3)]
+print("answered in order")
+"""
+
+
+@pytest.mark.parametrize("hoard", [0, 20000], ids=["answering", "reading-the-batch-first"])
+@pytest.mark.parametrize("transport", ["exec", "tcp"])
+def test_batch_larger_than_socket_buffers_is_answered_in_order(tmp_path, transport, hoard):
+    stub = tmp_path / "batch_scorer.py"
+    stub.write_text(BATCH_STUB, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-c", BIG_BATCH_CHECK, str(STUB.parent), str(stub), transport,
+         str(hoard)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "answered in order"
+
+
 # Answers three requests, read one byte at a time, then hangs up with the
-# rest of the window unread: the client sees end of file or a reset.
+# rest of the batch unread: the client sees end of file or a reset.
 HANGING_UP_STUB = (
     "import json, sys\n"
     "sys.path.insert(0, sys.argv[1])\n"
@@ -205,7 +270,7 @@ def test_scorer_that_stops_answering_gives_one_error(tmp_path, transport):
         ):
             client.nli_entail_batch(nli_pairs(5))
         client.close()
-    assert client._reader.closed and client._sock.fileno() == -1
+    assert client._sock.fileno() == -1
     if transport == "exec":
         assert client._proc.returncode == 0
 
@@ -241,7 +306,7 @@ def test_scorer_gone_before_the_write_gives_one_error(transport):
         ):
             client.lm_logprobs([5], [3])
         client.close()  # the unwritten requests are dropped, not raised again
-    assert client._reader.closed and client._sock.fileno() == -1
+    assert client._sock.fileno() == -1
     if transport == "exec":
         assert client._proc.returncode == 0
 
@@ -255,7 +320,7 @@ def test_close_kills_a_child_that_outlives_its_input(monkeypatch):
     ):
         client.close()
     assert client._proc.returncode is not None
-    assert client._reader.closed and client._sock.fileno() == -1
+    assert client._sock.fileno() == -1
 
 
 def test_failed_spawn_closes_both_socket_ends(monkeypatch, tmp_path):
@@ -294,6 +359,19 @@ def test_protocol_error_on_bad_response(tmp_path):
     with ExternalScorerClient.from_spec(f"exec:{sys.executable} {bad}") as client:
         with pytest.raises(ScorerProtocolError):
             client.lm_logprobs([], [1])
+
+
+def test_protocol_error_on_a_response_that_is_not_utf8(tmp_path):
+    bad = tmp_path / "latin1_scorer.py"
+    bad.write_text(
+        "import sys\n"
+        "for line in sys.stdin:\n"
+        "    sys.stdout.buffer.write(bytes([255, 10])); sys.stdout.flush()\n",
+        encoding="utf-8",
+    )
+    with ExternalScorerClient.from_spec(f"exec:{sys.executable} {bad}") as client:
+        with pytest.raises(ScorerProtocolError, match="^bad scorer response line: '\ufffd\\\\n'$"):
+            client.nli_entail_batch([("p", "h")])
 
 
 def test_protocol_error_on_length_mismatch(tmp_path):
@@ -356,7 +434,7 @@ GARBLING_STUB = (
 @pytest.mark.parametrize("bad", ["nan", "garbled"])
 def test_bad_response_mid_window_leaves_no_response_unread(tmp_path, bad):
     # The 71st response of a 100-request batch is bad: the batch fails
-    # naming it, and every response of its window has been read, so the
+    # naming it, and every response of the batch has been read, so the
     # next request on the client gets its own answer.
     if bad == "nan":
         spec = f"exec:{sys.executable} {BAD_STUB} nli-nan 70"

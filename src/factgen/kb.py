@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 YEAR_RE = re.compile(r"^[0-9]{1,4}$")
 
 # (line number, fields) rows of one KB file, or of in-memory records.
 _Rows = Iterable[tuple[int, Sequence[str]]]
-_NO_RELATIONS: frozenset[str] = frozenset()
 
 
 def is_year_literal(value: str) -> bool:
@@ -64,7 +63,8 @@ class KbStore:
         self._qid_of: dict[str, str] = {}
         self._label_of: dict[str, str] = {}
         self._pid_of: dict[str, str] = {}
-        self._pairs: dict[tuple[str, str], set[str]] = {}
+        # Frozen sets, so relations_between can hand them out uncopied.
+        self._pairs: dict[tuple[str, str], frozenset[str]] = {}
 
     # -- construction ------------------------------------------------------
     #
@@ -113,7 +113,7 @@ class KbStore:
             elif self.value_label(tail) is None:
                 problem = f"triple tail {tail!r} is neither a known entity nor a year literal"
             else:
-                pairs.setdefault((head, tail), set()).add(pid)
+                pairs[head, tail] = pairs.get((head, tail), frozenset()) | {pid}
                 continue
             raise KbIntegrityError(_located(source, lineno, problem))
 
@@ -163,13 +163,12 @@ class KbStore:
             return qid
         return label if is_year_literal(label) else None
 
-    def relations_between(self, head: str, tail: str) -> AbstractSet[str]:
+    def relations_between(self, head: str, tail: str) -> frozenset[str]:
         """Pids of stored triples with exactly this directed (head, tail).
 
-        Total: unknown ids simply yield the empty set. The set is the
-        store's own, not a copy, so callers only read it.
+        Total: unknown ids simply yield the empty set.
         """
-        return self._pairs.get((head, tail), _NO_RELATIONS)
+        return self._pairs.get((head, tail), frozenset())
 
     def entity_titles(self) -> Iterator[str]:
         return iter(self._qid_of)

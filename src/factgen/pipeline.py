@@ -97,10 +97,7 @@ def extract_ds_triples(sentence: LinkedSentence, kb: KbStore) -> list[Triple]:
         for tail_span in spans:
             if tail_span is head_span:
                 continue
-            pids = kb.relations_between(head_span.link, tail_span.link)
-            if not pids:
-                continue
-            for pid in sorted(pids):
+            for pid in sorted(kb.relations_between(head_span.link, tail_span.link)):
                 triple = Triple(head_span.link, pid, tail_span.link)
                 if triple not in seen:
                     seen.add(triple)

@@ -86,10 +86,9 @@ def _span_from_input(raw: Mapping, context: str) -> MentionSpan:
         start, end, surface = raw["start"], raw["end"], raw["surface"]
     except KeyError as exc:
         raise RecordError(f"{context}: span lacks {exc}") from None
-    if type(start) is not int or type(end) is not int or type(surface) is not str:
-        _check_type(context, "start", start, int)
-        _check_type(context, "end", end, int)
-        _check_type(context, "surface", surface, str)
+    _check_type(context, "start", start, int)
+    _check_type(context, "end", end, int)
+    _check_type(context, "surface", surface, str)
     link = raw.get("link")
     if link is None and "date" in raw:
         link = map_date_to_year(str(raw["date"]))
@@ -163,12 +162,10 @@ def parse_dataset_record(
         sentence = LinkedSentence(text, spans, str(row["id"]))
         triples = []
         for t in row.get("triples", ()):
-            head, pid, tail = t["head"], t["pid"], t["tail"]
-            if type(head) is not str or type(pid) is not str or type(tail) is not str:
-                _check_type(context, "head", head, str)
-                _check_type(context, "pid", pid, str)
-                _check_type(context, "tail", tail, str)
-            triples.append(Triple(head, pid, tail))
+            fields = t["head"], t["pid"], t["tail"]
+            for name, value in zip(("head", "pid", "tail"), fields):
+                _check_type(context, name, value, str)
+            triples.append(Triple(*fields))
     except (KeyError, ValueError, TypeError) as exc:
         raise RecordError(f"{context}: {exc}") from None
     return sentence, triples

@@ -195,17 +195,24 @@ class ExternalScorerClient:
         with self._lock:
             received = bytearray(self._unread)
             lines = received.count(b"\n")
-            while lines < wanted:
-                readable, writable, _ = select.select([sock], [sock] if pending else [], [])
-                if writable:  # first: a scorer that is gone fails the write
+            poller = select.poll()
+            poller.register(sock, select.POLLIN | select.POLLOUT)
+            events = select.POLLOUT  # send before the first wait
+            while True:
+                # Write first: a scorer that is gone fails the write.
+                if pending and events & ~select.POLLIN:
                     try:
                         pending = pending[sock.send(pending) :]
+                    except BlockingIOError:
+                        pass
                     except (BrokenPipeError, ConnectionResetError):
                         raise ScorerProtocolError(
                             "scorer closed the stream before taking the "
                             f"{payloads[0]['type']} request"
                         ) from None
-                if readable:
+                    if not pending:
+                        poller.modify(sock, select.POLLIN)
+                if events & ~select.POLLOUT:  # data, end of file or an error
                     try:
                         chunk = sock.recv(1 << 16)
                     except ConnectionResetError:  # it hung up with requests unread
@@ -214,6 +221,9 @@ class ExternalScorerClient:
                         raise ScorerProtocolError("scorer closed the stream before answering")
                     received += chunk
                     lines += chunk.count(b"\n")
+                if not pending and lines >= wanted:
+                    break
+                [(_, events)] = poller.poll()
             *answers, self._unread = bytes(received).split(b"\n", wanted)
         return [_parse_response(line + b"\n") for line in answers]
 

@@ -63,6 +63,14 @@ def test_duplicate_triples_are_deduplicated(tmp_path):
         assert store.relations_between(head, tail) == pids
 
 
+def test_relations_between_cannot_change_the_index(small_kb):
+    pids = small_kb.relations_between("Q84", "Q145")
+    with pytest.raises(AttributeError):
+        pids.add("P36")  # type: ignore[attr-defined]
+    assert small_kb.relations_between("Q84", "Q145") == {"P17"}
+    assert isinstance(small_kb.relations_between("Q1", "Q2"), frozenset)
+
+
 def test_relations_between_is_directional(small_kb):
     assert small_kb.relations_between("Q84", "Q145") == {"P17"}
     assert small_kb.relations_between("Q145", "Q84") == {"P36"}

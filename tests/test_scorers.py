@@ -235,6 +235,46 @@ def test_batch_larger_than_socket_buffers_is_answered_in_order(tmp_path, transpo
     assert proc.stdout.strip() == "answered in order"
 
 
+# The scorer's end of the stream on descriptor 1500: select.select cannot
+# watch a descriptor of 1024 or more, and the exchange must not depend on it.
+# In a subprocess, which raises its own open-file limit when it must.
+HIGH_FD_CHECK = """
+import os, resource, socket, subprocess, sys
+tests_dir, stub = sys.argv[1], sys.argv[2]
+sys.path.insert(0, tests_dir)
+from stub_scorer import lm_logprob, nli_entail
+from factgen.scorers import ExternalScorerClient
+
+soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+if soft != resource.RLIM_INFINITY and soft <= 1500:
+    if hard != resource.RLIM_INFINITY and hard <= 1500:
+        sys.exit("skip: the open-file limit is %d" % hard)
+    resource.setrlimit(resource.RLIMIT_NOFILE, (1501, hard))
+ours, theirs = socket.socketpair()
+fd = os.dup2(ours.fileno(), 1500)
+high = socket.socket(fileno=fd)
+ours.close()
+proc = subprocess.Popen([sys.executable, stub], stdin=theirs, stdout=theirs)
+theirs.close()
+pairs = [("p" * i, "h") for i in range(300)]
+with ExternalScorerClient(high, proc) as client:
+    assert client.lm_logprobs([5], [3]) == [lm_logprob(3)]
+    assert client.nli_entail_batch(pairs) == [nli_entail(*pair) for pair in pairs]
+print("answered on fd", fd)
+"""
+
+
+def test_stream_on_a_descriptor_above_1024_is_answered():
+    proc = subprocess.run(
+        [sys.executable, "-c", HIGH_FD_CHECK, str(STUB.parent), str(STUB)],
+        capture_output=True, text=True, timeout=60,
+    )
+    if proc.stderr.startswith("skip:"):
+        pytest.skip(proc.stderr.strip())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "answered on fd 1500"
+
+
 # Answers three requests, read one byte at a time, then hangs up with the
 # rest of the batch unread: the client sees end of file or a reset.
 HANGING_UP_STUB = (

@@ -50,19 +50,16 @@ class DecodeFailure(DecodeError):
     """No hypothesis could be completed; unreachable with dead-end-free tries."""
 
 
-class Phase(enum.Enum):
-    START = "start"
-    IN_SUBJECT = "in_subject"
-    IN_RELATION = "in_relation"
-    IN_OBJECT = "in_object"
-    AFTER_TRIPLE = "after_triple"
-    UNCONSTRAINED_PREFIX = "unconstrained_prefix"
-    DONE = "done"
+class Phase(enum.IntEnum):
+    """Decoder phase; its value indexes ``GenStateMachine``'s per-phase tables."""
 
-    def __init__(self, value: str) -> None:
-        # Dense index into GenStateMachine's per-phase tables: a dict keyed
-        # by phase would call Enum.__hash__, Python code, on every step.
-        self.ordinal = len(type(self).__members__)
+    START = 0
+    IN_SUBJECT = 1
+    IN_RELATION = 2
+    IN_OBJECT = 3
+    AFTER_TRIPLE = 4
+    UNCONSTRAINED_PREFIX = 5
+    DONE = 6
 
 
 _TRIE_PHASES = (Phase.IN_SUBJECT, Phase.IN_RELATION, Phase.IN_OBJECT)
@@ -82,7 +79,7 @@ class GenState:
 
     def __post_init__(self) -> None:
         if self.node and self.phase not in _TRIE_PHASES:
-            raise ValueError(f"phase {self.phase} cannot carry a trie node")
+            raise ValueError(f"phase Phase.{self.phase.name} cannot carry a trie node")
 
 
 @dataclass(frozen=True)
@@ -125,7 +122,7 @@ class GenStateMachine:
         eos = tokenizer.eos_id
         sub = tokenizer.special_id(SUB_TOKEN)
         marker = tokenizer.special_id(TRIPLE_MARKER)
-        # Per fixed phase (indexed by ordinal, None for label phases): the
+        # Per fixed phase (indexed by phase, None for label phases): the
         # allowed ids, ascending, and the moves out of it; any other allowed
         # token keeps the phase.
         done, start = Phase.DONE, Phase.START
@@ -156,9 +153,9 @@ class GenStateMachine:
 
     def allowed_tokens(self, state: GenState) -> tuple[int, ...]:
         """The allowed next token ids, ascending."""
-        label = self._labels[state.phase.ordinal]
+        label = self._labels[state.phase]
         if label is None:
-            return self._fixed[state.phase.ordinal][0]
+            return self._fixed[state.phase][0]
         trie, close, _ = label
         ids = trie.children(state.node)  # a fresh array, ascending
         if trie.is_terminal(state.node):
@@ -171,7 +168,7 @@ class GenStateMachine:
         """Deterministic transition; a disallowed token is an error."""
         phase = state.phase
         emitted = state.triples_emitted
-        label = self._labels[phase.ordinal]
+        label = self._labels[phase]
         if label is not None:
             trie, close, after_close = label
             if token == close and trie.is_terminal(state.node):
@@ -182,7 +179,7 @@ class GenStateMachine:
             if node < 0:
                 raise _violation(state, token)
             return GenState(phase, node, emitted)
-        allowed, moves = self._fixed[phase.ordinal]
+        allowed, moves = self._fixed[phase]
         after = moves.get(token)
         if after is not None:
             return GenState(after, 0, emitted)
@@ -192,7 +189,7 @@ class GenStateMachine:
 
 
 def _violation(state: GenState, token: int) -> ConstraintViolation:
-    return ConstraintViolation(f"token {token} not allowed in phase {state.phase.value}")
+    return ConstraintViolation(f"token {token} not allowed in phase {state.phase.name.lower()}")
 
 
 def _rank(hyp: Hypothesis) -> tuple[float, tuple[int, ...]]:

@@ -118,14 +118,19 @@ class HypothesisTemplates:
 
     def __post_init__(self) -> None:
         for pid, templates in self.by_pid.items():
-            if not templates:
-                raise TemplateError(f"relation {pid} has an empty template list")
-            for template in templates:
-                if "{head}" not in template or "{tail}" not in template:
-                    raise TemplateError(
-                        f"template for {pid} must contain {{head}} and {{tail}}: "
-                        f"{template!r}"
-                    )
+            self._check(pid, templates)
+
+    @staticmethod
+    def _check(pid: str, templates: list[str]) -> None:
+        if type(templates) is not list or any(type(t) is not str for t in templates):
+            raise TemplateError(f"templates must be a list of str, got {templates!r}")
+        if not templates:
+            raise TemplateError(f"relation {pid} has an empty template list")
+        for template in templates:
+            if "{head}" not in template or "{tail}" not in template:
+                raise TemplateError(
+                    f"template for {pid} must contain {{head}} and {{tail}}: {template!r}"
+                )
 
     @classmethod
     def load(cls, path: str) -> "HypothesisTemplates":
@@ -148,10 +153,10 @@ class HypothesisTemplates:
                     raise TemplateError(f"{context}: {exc}") from None
                 if type(pid) is not str:
                     raise TemplateError(f"{context}: pid must be str, got {pid!r}")
-                if type(templates) is not list or any(type(t) is not str for t in templates):
-                    raise TemplateError(
-                        f"{context}: templates must be a list of str, got {templates!r}"
-                    )
+                try:
+                    cls._check(pid, templates)
+                except TemplateError as exc:
+                    raise TemplateError(f"{context}: {exc}") from None
                 by_pid[pid] = templates
         return cls(by_pid)
 

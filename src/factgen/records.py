@@ -57,7 +57,8 @@ def write_jsonl(path: str, rows: Iterable[Mapping]) -> int:
 def _check_type(context: str, field: str, value: object, kind: type) -> None:
     # type(), not isinstance(): JSON true and false are bools, an int subclass.
     if type(value) is not kind:
-        raise RecordError(f"{context}: {field} must be {kind.__name__}, got {value!r}")
+        name = "an object" if kind is dict else kind.__name__
+        raise RecordError(f"{context}: {field} must be {name}, got {value!r}")
 
 
 def _load_unique(
@@ -80,8 +81,7 @@ def _load_unique(
 
 
 def _span_from_input(raw: Mapping, context: str) -> MentionSpan:
-    if type(raw) is not dict:
-        raise RecordError(f"{context}: span must be an object, got {raw!r}")
+    _check_type(context, "span", raw, dict)
     try:
         start, end, surface = raw["start"], raw["end"], raw["surface"]
     except KeyError as exc:
@@ -100,6 +100,12 @@ def _span_from_input(raw: Mapping, context: str) -> MentionSpan:
         raise RecordError(f"{context}: {exc}") from None
 
 
+def _spans_from_input(row: Mapping, context: str) -> list[MentionSpan]:
+    raw = row.get("spans", [])
+    _check_type(context, "spans", raw, list)
+    return [_span_from_input(s, context) for s in raw]
+
+
 def sentence_from_input_record(row: Mapping, context: str = "<record>") -> LinkedSentence:
     try:
         text = row["text"]
@@ -107,7 +113,7 @@ def sentence_from_input_record(row: Mapping, context: str = "<record>") -> Linke
     except KeyError as exc:
         raise RecordError(f"{context}: record lacks {exc}") from None
     _check_type(context, "text", text, str)
-    spans = [_span_from_input(s, context) for s in row.get("spans", ())]
+    spans = _spans_from_input(row, context)
     spans.sort(key=attrgetter("start"))
     try:
         return LinkedSentence(text, tuple(spans), sid)
@@ -158,10 +164,13 @@ def parse_dataset_record(
     try:
         text = row["text"]
         _check_type(context, "text", text, str)
-        spans = tuple([_span_from_input(s, context) for s in row.get("spans", ())])
+        spans = tuple(_spans_from_input(row, context))
         sentence = LinkedSentence(text, spans, str(row["id"]))
+        raw_triples = row.get("triples", [])
+        _check_type(context, "triples", raw_triples, list)
         triples = []
-        for t in row.get("triples", ()):
+        for t in raw_triples:
+            _check_type(context, "triple", t, dict)
             fields = t["head"], t["pid"], t["tail"]
             for name, value in zip(("head", "pid", "tail"), fields):
                 _check_type(context, name, value, str)

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from factgen import KbStore, LinkedSentence, MentionSpan
+from factgen.kb import KbStore
+from factgen.linearize import LinkedSentence, MentionSpan
 from factgen.tokenizers import ByteTokenizer
 
 

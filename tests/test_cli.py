@@ -931,8 +931,12 @@ def test_bad_entail_in_mid_window_fails_filter_and_closes_the_client(
          "templates must be a list of str, got ['{head} x {tail}', 7]"),
         ({"pid": 36, "templates": ["{head} x {tail}"]}, "pid must be str, got 36"),
         ({"templates": ["{head} x {tail}"]}, "'pid'"),
+        ({"pid": "P36", "templates": []}, "relation P36 has an empty template list"),
+        ({"pid": "P36", "templates": ["{head} only"]},
+         "template for P36 must contain {head} and {tail}: '{head} only'"),
     ],
-    ids=["array-row", "string-templates", "int-template", "int-pid", "no-pid"],
+    ids=["array-row", "string-templates", "int-template", "int-pid", "no-pid",
+         "empty-templates", "no-tail-placeholder"],
 )
 def test_bad_template_row_fails_filter_with_its_line(kb_paths, tmp_path, capsys, row, message):
     templates = tmp_path / "templates.jsonl"
@@ -983,6 +987,29 @@ def test_dataset_stages_import_no_decoder_evaluation_or_scorers(kb_paths, tmp_pa
     assert all(unused.isdisjoint(modules) for modules in dataset_stages)
     # filter imports the scorers, and nothing more of the three.
     assert unused & set(after_filter) == {"factgen.scorers"}
+
+
+# Imports the package in a fresh process, then prints the factgen modules it
+# loaded and what the two import forms of ``linearize`` give.
+PACKAGE_IMPORTS = """
+import json, sys
+import factgen
+loaded = sorted(m for m in sys.modules if m.startswith("factgen."))
+import factgen.linearize as imported
+from factgen import linearize as from_package
+print(json.dumps([loaded, repr(imported), repr(from_package)]))
+"""
+
+
+def test_the_package_imports_no_module_and_shadows_none():
+    proc = subprocess.run(
+        [sys.executable, "-c", PACKAGE_IMPORTS],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    loaded, imported, from_package = json.loads(proc.stdout)
+    assert loaded == []
+    assert imported == from_package
+    assert imported.startswith("<module 'factgen.linearize' from ")
 
 
 def test_negatives_never_reads_the_kb(tmp_path):

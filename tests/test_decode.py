@@ -147,7 +147,8 @@ def test_prefix_invariant_is_enforced():
         if phase in label_phases:
             assert GenState(phase=phase, node=5).node == 5
         else:
-            with pytest.raises(ValueError):
+            message = f"^phase Phase.{phase.name} cannot carry a trie node$"
+            with pytest.raises(ValueError, match=message):
                 GenState(phase=phase, node=5)
 
 

@@ -318,9 +318,10 @@ def test_filter_rejects_mismatched_inputs_and_short_score_lists(small_kb, capita
 
 
 def test_template_placeholders_are_validated():
-    with pytest.raises(TemplateError):
+    message = "^template for P36 must contain {head} and {tail}: 'no placeholders here'$"
+    with pytest.raises(TemplateError, match=message):
         HypothesisTemplates({"P36": ["no placeholders here"]})
-    with pytest.raises(TemplateError):
+    with pytest.raises(TemplateError, match="^relation P36 has an empty template list$"):
         HypothesisTemplates({"P36": []})
 
 

@@ -204,9 +204,9 @@ SPAN_AND_TRIPLE_ERRORS = [
     (BOTH_LOADERS, _with_spans(ROME, dict(ROME, start=2, surface="me")),
      "span [2, 4) overlaps or is out of order"),
     ((load_dataset,), _with_spans(PARIS, ROME), "span [0, 4) overlaps or is out of order"),
-    ((load_dataset,), _with_triples(5), "'int' object is not subscriptable"),
+    ((load_dataset,), _with_triples(5), "triple must be an object, got 5"),
     ((load_dataset,), _with_triples(["Q220", "P1", "Q90"]),
-     "list indices must be integers or slices, not str"),
+     "triple must be an object, got ['Q220', 'P1', 'Q90']"),
     ((load_dataset,), _with_triples({"pid": "P1", "tail": "Q90"}), "'head'"),
     ((load_dataset,), _with_triples({"head": "Q220", "tail": "Q90"}), "'pid'"),
     ((load_dataset,), _with_triples({"head": "Q220", "pid": "P1"}), "'tail'"),
@@ -216,12 +216,13 @@ SPAN_AND_TRIPLE_ERRORS = [
      "pid must be str, got 1"),
     ((load_dataset,), _with_triples({"head": "Q220", "pid": "P1", "tail": 1776}),
      "tail must be str, got 1776"),
-    ((load_dataset,), dict(_with_triples(), triples=5), "'int' object is not iterable"),
-    ((load_dataset,), dict(_with_triples(), spans=5), "'int' object is not iterable"),
+    ((load_dataset,), dict(_with_triples(), triples=5), "triples must be list, got 5"),
+    ((load_dataset,), dict(_with_triples(), spans=5), "spans must be list, got 5"),
     ((load_dataset,), {"id": "t", "spans": []}, "'text'"),
     ((load_dataset,), {"text": TEXT}, "'id'"),
     ((load_input_sentences,), {"id": "s"}, "record lacks 'text'"),
     ((load_input_sentences,), {"text": TEXT}, "record lacks 'id'"),
+    ((load_input_sentences,), dict(_with_spans(), spans=5), "spans must be list, got 5"),
 ]
 
 

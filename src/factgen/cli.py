@@ -159,8 +159,15 @@ def _add_kb_flags(parser: argparse.ArgumentParser, required: bool = True) -> Non
         parser.add_argument(_flag(dest), required=required)
 
 
+# The stages that look up entity pairs (extract) or count them (build-kb):
+# every other stage reads only the entity and relation maps, and leaves the
+# triples file it names in --kb-triples unopened.
+PAIR_STAGES = ("extract", "build-kb")
+
+
 def _load_kb_from_args(args: argparse.Namespace) -> KbStore:
-    return load_kb(args.kb_entities, args.kb_relations, args.kb_triples)
+    triples = args.kb_triples if args.command in PAIR_STAGES else None
+    return load_kb(args.kb_entities, args.kb_relations, triples)
 
 
 def _parse_split(text: str) -> tuple[float, float, float]:

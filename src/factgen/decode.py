@@ -24,8 +24,7 @@ from __future__ import annotations
 import enum
 import heapq
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import NamedTuple, Protocol, Sequence
 
 from .linearize import (
     END_TRIPLE_TOKEN,
@@ -65,25 +64,28 @@ class Phase(enum.IntEnum):
 _TRIE_PHASES = (Phase.IN_SUBJECT, Phase.IN_RELATION, Phase.IN_OBJECT)
 
 
-@dataclass(frozen=True)
-class GenState:
+class _GenState(NamedTuple):
+    phase: Phase = Phase.START
+    node: int = 0
+    triples_emitted: int = 0
+
+
+class GenState(_GenState):
     """Decoder position: the phase, and inside a label the trie node reached.
 
     ``node`` is a node number of the phase's trie (0, the root, on entering
     a label); outside the label phases it is always 0.
     """
 
-    phase: Phase = Phase.START
-    node: int = 0
-    triples_emitted: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.node and self.phase not in _TRIE_PHASES:
-            raise ValueError(f"phase Phase.{self.phase.name} cannot carry a trie node")
+    def __new__(cls, phase: Phase = Phase.START, node: int = 0, triples_emitted: int = 0):
+        if node and phase not in _TRIE_PHASES:
+            raise ValueError(f"phase Phase.{phase.name} cannot carry a trie node")
+        return tuple.__new__(cls, (phase, node, triples_emitted))
 
 
-@dataclass(frozen=True)
-class DecodingTries:
+class DecodingTries(NamedTuple):
     """Tries per segment; the tail trie defaults to the entity trie.
 
     Pass a tail trie built over entity labels plus year literals when date
@@ -108,8 +110,7 @@ class TokenScorer(Protocol):
         ...
 
 
-@dataclass(frozen=True)
-class Hypothesis:
+class Hypothesis(NamedTuple):
     tokens: tuple[int, ...]
     score: float
     state: GenState

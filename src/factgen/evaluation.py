@@ -11,7 +11,6 @@ correct and contributes nothing to the pooled counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 from .kb import KbStore, Triple
@@ -30,8 +29,7 @@ class Counts(NamedTuple):
     n_neg: int
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     precision: float
     recall: float
     f1: float

@@ -2,7 +2,11 @@
 
 The store is four plain string maps (qid <-> title, pid <-> label) and an
 index of triples by directed (head, tail) pair, so that distant supervision
-can ask "which relations hold between these two entities?" in O(1).
+can ask "which relations hold between these two entities?" in O(1). A
+caller that only resolves ids and labels (every CLI stage but ``extract``
+and ``build-kb``) loads the store without its triples: then it holds the
+four maps alone, and a pair question raises :class:`KbError` rather than
+answer empty.
 
 A triple's tail value is an entity qid or a bare year literal; year literals
 are kept as raw strings because dates carry no entity id of their own. A qid
@@ -14,8 +18,7 @@ applied: a value's label is the entity title, or the year itself.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 YEAR_RE = re.compile(r"^[0-9]{1,4}$")
 
@@ -41,9 +44,11 @@ class KbIntegrityError(KbError):
     loaded data."""
 
 
-@dataclass(frozen=True, order=True)
-class Triple:
-    """A resolved triple: head entity id, relation id, tail id or year."""
+class Triple(NamedTuple):
+    """A resolved triple: head entity id, relation id, tail id or year.
+
+    A tuple, so it equals and orders like ``(head, relation, tail)``.
+    """
 
     head: str
     relation: str
@@ -63,8 +68,9 @@ class KbStore:
         self._qid_of: dict[str, str] = {}
         self._label_of: dict[str, str] = {}
         self._pid_of: dict[str, str] = {}
-        # Frozen sets, so relations_between can hand them out uncopied.
-        self._pairs: dict[tuple[str, str], frozenset[str]] = {}
+        # Frozen sets, so relations_between can hand them out uncopied; None
+        # for a store loaded without its triples.
+        self._pairs: dict[tuple[str, str], frozenset[str]] | None = {}
 
     # -- construction ------------------------------------------------------
     #
@@ -166,8 +172,11 @@ class KbStore:
     def relations_between(self, head: str, tail: str) -> frozenset[str]:
         """Pids of stored triples with exactly this directed (head, tail).
 
-        Total: unknown ids simply yield the empty set.
+        Total: unknown ids simply yield the empty set. A store loaded
+        without its triples raises :class:`KbError`.
         """
+        if self._pairs is None:
+            raise _without_triples("relations_between")
         return self._pairs.get((head, tail), frozenset())
 
     def entity_titles(self) -> Iterator[str]:
@@ -186,11 +195,19 @@ class KbStore:
 
     @property
     def num_pairs(self) -> int:
+        if self._pairs is None:
+            raise _without_triples("num_pairs")
         return len(self._pairs)
 
     @property
     def num_triples(self) -> int:
+        if self._pairs is None:
+            raise _without_triples("num_triples")
         return sum(map(len, self._pairs.values()))
+
+
+def _without_triples(asked: str) -> KbError:
+    return KbError(f"cannot answer {asked}: the KB was loaded without its triples")
 
 
 def _located(source: str | None, lineno: int, problem: str) -> str:
@@ -216,8 +233,10 @@ def _read_tsv(path: str, n_fields: int) -> Iterator[tuple[int, list[str]]]:
             yield lineno, fields
 
 
-def load_kb(entities_path: str, relations_path: str, triples_path: str) -> KbStore:
-    """Load a store from the three TSV files.
+def load_kb(
+    entities_path: str, relations_path: str, triples_path: str | None = None
+) -> KbStore:
+    """Load a store from the TSV files; the triples file only when given.
 
     entities: ``qid<TAB>title``; relations: ``pid<TAB>label<TAB>description``
     (the description is required but not kept); triples:
@@ -225,9 +244,17 @@ def load_kb(entities_path: str, relations_path: str, triples_path: str) -> KbSto
     silently; duplicate qids/titles/pids, a qid that reads as a year and
     dangling triple references raise :class:`KbIntegrityError` with the
     offending location.
+
+    With ``triples_path`` None the triples file is neither opened nor
+    checked: the store resolves entities, relations and values as usual,
+    but :meth:`KbStore.relations_between`, ``num_pairs`` and
+    ``num_triples`` raise :class:`KbError`.
     """
     store = KbStore()
     store._add_entities(_read_tsv(entities_path, 2), entities_path)
     store._add_relations(_read_tsv(relations_path, 3), relations_path)
-    store._add_triples(_read_tsv(triples_path, 3), triples_path)
+    if triples_path is None:
+        store._pairs = None
+    else:
+        store._add_triples(_read_tsv(triples_path, 3), triples_path)
     return store

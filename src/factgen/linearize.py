@@ -8,14 +8,16 @@ pair (``<#el#>`` / ``<#tri#>`` input prefixes), and the dual-target instance
 for a two-headed decoder. Targets are strings and instances are the rows
 ``targets`` writes.
 
-All operations are pure functions over immutable inputs.
+All operations are pure functions over immutable inputs. The value types
+are tuples (``typing.NamedTuple``): calling ``MentionSpan``,
+``LinkedSentence`` or ``RawTriple`` checks the fields, while ``_make`` and
+``_replace`` skip the check.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .kb import KbStore, Triple, is_year_literal
 
@@ -36,22 +38,26 @@ class LinearizeError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class MentionSpan:
+class _MentionSpan(NamedTuple):
+    start: int
+    end: int
+    surface: str
+    link: str | None = None
+
+
+class MentionSpan(_MentionSpan):
     """A mention in a sentence, optionally linked to an entity or year.
 
     ``link`` is an entity qid, a bare year literal, or None for unlinked
     mentions.
     """
 
-    start: int
-    end: int
-    surface: str
-    link: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.end <= self.start:
-            raise ValueError(f"bad span offsets [{self.start}, {self.end})")
+    def __new__(cls, start: int, end: int, surface: str, link: str | None = None):
+        if start < 0 or end <= start:
+            raise ValueError(f"bad span offsets [{start}, {end})")
+        return tuple.__new__(cls, (start, end, surface, link))
 
     @property
     def is_linked(self) -> bool:
@@ -62,49 +68,54 @@ class MentionSpan:
         return self.link is not None and is_year_literal(self.link)
 
 
-@dataclass(frozen=True)
-class LinkedSentence:
+class _LinkedSentence(NamedTuple):
+    text: str
+    spans: tuple[MentionSpan, ...] = ()
+    id: str | None = None
+
+
+class LinkedSentence(_LinkedSentence):
     """A sentence with its entity-linked mention spans.
 
     Spans must be sorted by start offset, lie within the text, not overlap,
     and their surfaces must match the text slice.
     """
 
-    text: str
-    spans: tuple[MentionSpan, ...] = ()
-    id: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, text: str, spans: tuple[MentionSpan, ...] = (), id: str | None = None):
         prev_end = 0
-        for span in self.spans:
-            if span.start < prev_end:
+        for start, end, surface, _ in spans:
+            if start < prev_end:
+                raise ValueError(f"span [{start}, {end}) overlaps or is out of order")
+            if end > len(text):
+                raise ValueError(f"span [{start}, {end}) outside text")
+            if text[start:end] != surface:
                 raise ValueError(
-                    f"span [{span.start}, {span.end}) overlaps or is out of order"
+                    f"span surface {surface!r} does not match text slice {text[start:end]!r}"
                 )
-            if span.end > len(self.text):
-                raise ValueError(f"span [{span.start}, {span.end}) outside text")
-            if self.text[span.start : span.end] != span.surface:
-                raise ValueError(
-                    f"span surface {span.surface!r} does not match text slice "
-                    f"{self.text[span.start:span.end]!r}"
-                )
-            prev_end = span.end
+            prev_end = end
+        return tuple.__new__(cls, (text, spans, id))
 
     def linked_spans(self) -> tuple[MentionSpan, ...]:
-        return tuple(s for s in self.spans if s.is_linked)
+        return tuple([s for s in self.spans if s.link is not None])
 
 
-@dataclass(frozen=True)
-class RawTriple:
-    """Label-level triple, e.g. parsed back from generated text."""
-
+class _RawTriple(NamedTuple):
     head_label: str
     relation_label: str
     tail_label: str
 
-    def __post_init__(self) -> None:
-        if not (self.head_label and self.relation_label and self.tail_label):
+
+class RawTriple(_RawTriple):
+    """Label-level triple, e.g. parsed back from generated text."""
+
+    __slots__ = ()
+
+    def __new__(cls, head_label: str, relation_label: str, tail_label: str):
+        if not (head_label and relation_label and tail_label):
             raise ValueError("RawTriple fields must be non-empty")
+        return tuple.__new__(cls, (head_label, relation_label, tail_label))
 
 
 def _first_offset(sentence: LinkedSentence, link: str) -> int | None:

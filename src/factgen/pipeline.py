@@ -19,8 +19,7 @@ import logging
 import math
 import random
 import re
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, TypeVar
 
 from .kb import KbStore, Triple
 from .linearize import LinkedSentence, order_triples
@@ -105,7 +104,6 @@ def extract_ds_triples(sentence: LinkedSentence, kb: KbStore) -> list[Triple]:
     return order_triples(triples, sentence)
 
 
-@dataclass
 class HypothesisTemplates:
     """Per-relation hypothesis templates for entailment filtering.
 
@@ -114,11 +112,13 @@ class HypothesisTemplates:
     <tail label>."; a relation missing from the KB is an error.
     """
 
-    by_pid: dict[str, list[str]]
-
-    def __post_init__(self) -> None:
-        for pid, templates in self.by_pid.items():
+    def __init__(self, by_pid: dict[str, list[str]]) -> None:
+        for pid, templates in by_pid.items():
             self._check(pid, templates)
+        self.by_pid = by_pid
+
+    def __repr__(self) -> str:
+        return f"HypothesisTemplates(by_pid={self.by_pid!r})"
 
     @staticmethod
     def _check(pid: str, templates: list[str]) -> None:
@@ -134,7 +134,8 @@ class HypothesisTemplates:
 
     @classmethod
     def load(cls, path: str) -> "HypothesisTemplates":
-        """Read a JSONL file of ``{"pid": ..., "templates": [...]}`` rows."""
+        """Read a JSONL file of ``{"pid": ..., "templates": [...]}`` rows;
+        a repeated pid is an error."""
         by_pid: dict[str, list[str]] = {}
         with open(path, encoding="utf-8") as handle:
             for lineno, line in enumerate(handle, start=1):
@@ -157,6 +158,8 @@ class HypothesisTemplates:
                     cls._check(pid, templates)
                 except TemplateError as exc:
                     raise TemplateError(f"{context}: {exc}") from None
+                if pid in by_pid:
+                    raise TemplateError(f"{context}: duplicate pid {pid!r}")
                 by_pid[pid] = templates
         return cls(by_pid)
 
@@ -183,8 +186,7 @@ class HypothesisTemplates:
         return [f"{head} {relation} {tail}."]
 
 
-@dataclass(frozen=True)
-class ScoredTriple:
+class ScoredTriple(NamedTuple):
     triple: Triple
     score: float
 

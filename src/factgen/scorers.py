@@ -28,6 +28,7 @@ import shlex
 import socket
 import subprocess
 import threading
+import time
 from collections import Counter
 from typing import Protocol, Sequence
 
@@ -271,8 +272,29 @@ class ExternalScorerClient:
                 self._sock.close()
 
     def _wait_for_child(self) -> None:
+        """Wait for the child's exit, which ends the stream, then reap it.
+
+        ``Popen.wait(timeout=...)`` sleeps in doubling steps and so notices
+        an exit up to twice as late as it happened; the end of the stream
+        wakes ``poll`` at once. The reap is bounded by the same deadline,
+        since a child may close its end of the stream and keep running.
+        """
+        deadline = time.monotonic() + CHILD_EXIT_TIMEOUT
+        poller = select.poll()
+        poller.register(self._sock, select.POLLIN)
+        while True:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not poller.poll(math.ceil(remaining * 1000)):
+                break
+            try:
+                if not self._sock.recv(1 << 16):  # anything else is unread output
+                    break
+            except BlockingIOError:
+                pass
+            except ConnectionResetError:
+                break
         try:
-            self._proc.wait(timeout=CHILD_EXIT_TIMEOUT)
+            self._proc.wait(timeout=max(deadline - time.monotonic(), 0.0))
         except subprocess.TimeoutExpired:
             self._proc.kill()
             self._proc.wait()

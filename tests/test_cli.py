@@ -23,6 +23,7 @@ from .corpus import (
     run_cli,
     run_pipeline,
     write_kb_fixture,
+    write_micro_corpus,
 )
 
 
@@ -934,9 +935,10 @@ def test_bad_entail_in_mid_window_fails_filter_and_closes_the_client(
         ({"pid": "P36", "templates": []}, "relation P36 has an empty template list"),
         ({"pid": "P36", "templates": ["{head} only"]},
          "template for P36 must contain {head} and {tail}: '{head} only'"),
+        ({"pid": "P17", "templates": ["{head} lies in {tail}."]}, "duplicate pid 'P17'"),
     ],
     ids=["array-row", "string-templates", "int-template", "int-pid", "no-pid",
-         "empty-templates", "no-tail-placeholder"],
+         "empty-templates", "no-tail-placeholder", "repeated-pid"],
 )
 def test_bad_template_row_fails_filter_with_its_line(kb_paths, tmp_path, capsys, row, message):
     templates = tmp_path / "templates.jsonl"
@@ -957,13 +959,15 @@ def test_bad_template_row_fails_filter_with_its_line(kb_paths, tmp_path, capsys,
 
 
 # Runs the given stages through cli.main in one fresh process and prints the
-# factgen modules imported after each.
+# factgen modules, and dataclasses if it was imported, after each.
 STAGE_IMPORTS = """
 import json, sys
 from factgen import cli
 for argv in json.loads(sys.argv[1]):
     assert cli.main(argv) == 0, argv
-    print(json.dumps(sorted(m for m in sys.modules if m.startswith("factgen."))))
+    print(json.dumps(sorted(
+        m for m in sys.modules if m.startswith("factgen.") or m == "dataclasses"
+    )))
 """
 
 
@@ -987,6 +991,8 @@ def test_dataset_stages_import_no_decoder_evaluation_or_scorers(kb_paths, tmp_pa
     assert all(unused.isdisjoint(modules) for modules in dataset_stages)
     # filter imports the scorers, and nothing more of the three.
     assert unused & set(after_filter) == {"factgen.scorers"}
+    # The value types are tuples: no stage pays for importing dataclasses.
+    assert all("dataclasses" not in modules for modules in [*dataset_stages, after_filter])
 
 
 # Imports the package in a fresh process, then prints the factgen modules it
@@ -1030,6 +1036,58 @@ def test_negatives_never_reads_the_kb(tmp_path):
     assert cli.main(["negatives", "--input", str(paths["filtered"]), *flags]) == 0
     assert out.read_bytes() == with_kb[0]
     assert json.loads(manifest.read_bytes())["inputs"] == [str(paths["filtered"])]
+
+
+# Two ways to corrupt triples.tsv, each with the loader error it must give.
+BAD_TRIPLES = {
+    "short-row": ("Q145\tP36\tQ84\nQ38\tP36\n", "KbLoadError: {path}:2: "
+                  "expected 3 tab-separated fields, got 2"),
+    "long-row": ("Q145\tP36\tQ84\tQ1\n", "KbLoadError: {path}:1: "
+                 "expected 3 tab-separated fields, got 4"),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(BAD_TRIPLES))
+def test_only_extract_and_build_kb_read_the_triples(tmp_path, capsys, corruption):
+    kb = write_kb_fixture(tmp_path / "kb")
+    run = tmp_path / "run"
+    sentences = write_micro_corpus(run)
+    o = lambda name: str(run / name)  # noqa: E731
+    assert cli.main(["extract", "--input", sentences, *kb_flags(kb), "--out", o("ex.jsonl")]) == 0
+    assert cli.main(["negatives", "--input", o("ex.jsonl"), "--seed", "7",
+                     "--out", o("ds.jsonl")]) == 0
+    stages = [
+        ["filter", "--input", o("ex.jsonl"), *kb_flags(kb), "--out", o("fi.jsonl")],
+        *(["targets", "--input", o("ds.jsonl"), *kb_flags(kb), "--mode", mode,
+           "--out", o(f"{mode}.jsonl")] for mode in cli.TARGET_MODES),
+        ["build-trie", *kb_flags(kb), "--out-entity", o("entity.trie"),
+         "--out-relation", o("relation.trie"), "--out-tail", o("tail.trie")],
+        # No trie cache is given, so decode builds its tries from the KB.
+        ["decode", "--input", o("standard.jsonl"), *kb_flags(kb), "--max-len", "64",
+         "--out", o("pred.jsonl")],
+        ["score", "--pred", o("pred.jsonl"), "--gold", o("ds.jsonl"), *kb_flags(kb),
+         "--out", o("report.json")],
+    ]
+
+    def outputs() -> dict[str, bytes]:
+        for argv in stages:
+            assert cli.main(argv) == 0, argv
+        return {path.name: path.read_bytes() for path in sorted(run.iterdir())}
+
+    with_good_triples = outputs()
+    assert {"fi.jsonl", "dual-head.jsonl.manifest.json", "tail.trie", "report.json"} <= set(
+        with_good_triples
+    )
+    text, message = BAD_TRIPLES[corruption]
+    Path(kb["triples"]).write_text(text, encoding="utf-8")
+    assert outputs() == with_good_triples
+    for argv in (["extract", "--input", sentences, *kb_flags(kb), "--out", o("ex2.jsonl")],
+                 ["build-kb", *kb_flags(kb), "--out", o("kb.json")]):
+        assert cli.main(argv) == 1
+        assert stage_error(capsys) == {
+            "stage": argv[0], "error": message.format(path=kb["triples"]),
+        }
+    assert not Path(o("ex2.jsonl")).exists() and not Path(o("kb.json")).exists()
 
 
 @pytest.mark.parametrize(

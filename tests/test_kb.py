@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factgen.evaluation import resolve_raw_triple
-from factgen.kb import KbIntegrityError, KbLoadError, KbStore, Triple, load_kb
+from factgen.kb import KbError, KbIntegrityError, KbLoadError, KbStore, Triple, load_kb
 from factgen.linearize import linearize, parse_linearized
 
 
@@ -61,6 +61,30 @@ def test_duplicate_triples_are_deduplicated(tmp_path):
     assert store.num_triples == 2
     for (head, tail), pids in expected.items():
         assert store.relations_between(head, tail) == pids
+
+
+def test_a_store_loaded_without_triples_resolves_but_answers_no_pair_question(tmp_path):
+    entities, relations, triples = write_kb_files(
+        tmp_path, [("Q145", "United Kingdom"), ("Q84", "London")],
+        [("P36", "capital", "seat of government")], [("Q145", "P36", "Q84")],
+    )
+    # The triples file is never opened: it need not even exist.
+    (tmp_path / "triples.tsv").unlink()
+    for store in (load_kb(entities, relations), load_kb(entities, relations, None)):
+        assert store.resolve_title("London") == "Q84"
+        assert store.value_label("1999") == "1999"
+        assert store.resolve_relation_label("capital") == "P36"
+        assert (store.num_entities, store.num_relations) == (2, 1)
+        for asked, ask in [
+            ("relations_between", lambda: store.relations_between("Q145", "Q84")),
+            ("num_pairs", lambda: store.num_pairs),
+            ("num_triples", lambda: store.num_triples),
+        ]:
+            with pytest.raises(KbError) as caught:
+                ask()
+            assert str(caught.value) == (
+                f"cannot answer {asked}: the KB was loaded without its triples"
+            )
 
 
 def test_relations_between_cannot_change_the_index(small_kb):

@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -359,6 +360,23 @@ def test_close_kills_a_child_that_outlives_its_input(monkeypatch):
         match=r"^scorer 'sleep 30' still ran 0.2 s after its input ended; killed it$",
     ):
         client.close()
+    assert client._proc.returncode is not None
+    assert client._sock.fileno() == -1
+
+
+def test_close_bounds_the_reap_of_a_child_that_ends_its_stream_and_runs_on(monkeypatch):
+    # The child closes its end of the socket at once, then sleeps: the end of
+    # the stream arrives, but the child cannot be reaped before it is killed.
+    monkeypatch.setattr(scorers, "CHILD_EXIT_TIMEOUT", 0.2)
+    command = "sh -c 'exec 0<&- 1>&-; exec sleep 30'"
+    client = ExternalScorerClient.from_spec(f"exec:{command}")
+    began = time.monotonic()
+    with pytest.raises(ScorerProtocolError) as caught:
+        client.close()
+    assert str(caught.value) == (
+        f"scorer {command!r} still ran 0.2 s after its input ended; killed it"
+    )
+    assert time.monotonic() - began < 5
     assert client._proc.returncode is not None
     assert client._sock.fileno() == -1
 

@@ -1,0 +1,127 @@
+"""Alternating benchmark pairs: a parent checkout against a changed one.
+
+Runs ``python3 bench/run.py --workload W --seed S --seconds T`` in each of
+two checkout directories, once per seed, alternating which side runs first
+(the parent first on the first seed). Each run is the benchmark's own, from
+its own checkout, with the interpreter that runs this script. At the end it
+prints one JSON line: per end-to-end metric, each side's per-seed values,
+median and quartiles, and the pairs the change won (a tie counts for
+neither side), plus whether every run was correct with 0 failed.
+
+The direction of each metric ("higher" or "lower" is better) comes from the
+``end_to_end`` list of the parent's ``BENCHMARK.json``. Standard library
+only; it writes nothing outside the benchmark's own run directories.
+
+Usage:
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload dataset \
+        --seeds 301-310 --seconds 45
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def parse_seeds(text: str) -> list[int]:
+    """``301-310`` or ``301,305,307`` (or a mix) -> a list of seeds."""
+    seeds = []
+    for part in text.split(","):
+        first, _, last = part.partition("-")
+        seeds.extend(range(int(first), int(last or first) + 1))
+    return seeds
+
+
+def quartiles(values: list[float]) -> list[float]:
+    """Lower quartile, median and upper quartile (inclusive method)."""
+    if len(values) == 1:
+        return values * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run; its final JSON line, with the exit code added."""
+    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds)]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        result = {"correct": False, "failed": None, "metrics": {}}
+        print(f"{checkout} seed {seed}: no result line; stderr: {proc.stderr[-2000:]}",
+              file=sys.stderr)
+    result["exit_code"] = proc.returncode
+    return result
+
+
+def summarize(
+    directions: dict[str, str], runs: dict[str, list[dict]], seeds: list[int]
+) -> dict:
+    metrics = {}
+    for name, better in directions.items():
+        values = {
+            side: [run["metrics"].get(name, {}).get("value") for run in side_runs]
+            for side, side_runs in runs.items()
+        }
+        if any(v is None for side_values in values.values() for v in side_values):
+            continue  # the workload does not report this metric
+        wins = sum(
+            (change > parent) if better == "higher" else (change < parent)
+            for parent, change in zip(values["parent"], values["change"])
+        )
+        metrics[name] = {
+            "better": better,
+            "per_seed": {
+                str(seed): [parent, change]
+                for seed, parent, change in zip(seeds, values["parent"], values["change"])
+            },
+            **{
+                side: dict(zip(("q1", "median", "q3"), quartiles(side_values)))
+                for side, side_values in values.items()
+            },
+            "change_wins": wins,
+            "pairs": len(seeds),
+        }
+    return metrics
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 301-310")
+    parser.add_argument("--seconds", type=float, required=True)
+    args = parser.parse_args(argv)
+    benchmark = json.loads((args.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    directions = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    sides = {"parent": args.parent, "change": args.change}
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for index, seed in enumerate(args.seeds):
+        order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+        for side in order:
+            result = run_bench(sides[side], args.workload, seed, args.seconds)
+            runs[side].append(result)
+            print(f"seed {seed} {side}: correct={result.get('correct')} "
+                  f"failed={result.get('failed')}", file=sys.stderr)
+    all_correct = all(
+        run.get("correct") is True and run.get("failed") == 0 and run["exit_code"] == 0
+        for side_runs in runs.values() for run in side_runs
+    )
+    print(json.dumps({
+        "workload": args.workload,
+        "seeds": args.seeds,
+        "seconds": args.seconds,
+        "all_correct": all_correct,
+        "metrics": summarize(directions, runs, args.seeds),
+    }, sort_keys=True))
+    return 0 if all_correct else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -71,7 +71,7 @@ from .records import (
     write_jsonl,
 )
 from .tokenizers import ByteTokenizer
-from .trie import ConstraintTrie, build_trie, year_labels
+from .trie import ConstraintTrie, TrieCacheError, build_trie, year_labels
 
 if TYPE_CHECKING:
     from .decode import DecodingTries
@@ -328,7 +328,8 @@ def cmd_targets(args: argparse.Namespace) -> None:
 
 def _load_tries(args: argparse.Namespace, tokenizer: ByteTokenizer) -> DecodingTries:
     """Each trie from its ``--<kind>-trie`` cache when given, else built from
-    the KB, which is read only when some cache is missing."""
+    the KB, which is read only when some cache is missing. A cache that
+    holds end-of-sequence was built from a label the KB now rejects."""
     from .decode import DecodingTries
 
     kb = None
@@ -337,6 +338,11 @@ def _load_tries(args: argparse.Namespace, tokenizer: ByteTokenizer) -> DecodingT
         cache = getattr(args, f"{kind}_trie")
         if cache:
             tries[kind] = ConstraintTrie.load(cache)
+            if tries[kind].has_token(tokenizer.eos_id):
+                raise TrieCacheError(
+                    f"{cache}: a label holds end-of-sequence (id {tokenizer.eos_id}): "
+                    "rerun build-trie to rewrite it"
+                )
         else:
             if kb is None:
                 missing = [_flag(dest) for dest in KB_FLAGS if getattr(args, dest) is None]

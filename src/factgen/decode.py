@@ -26,14 +26,14 @@ import heapq
 from bisect import bisect_left
 from typing import NamedTuple, Protocol, Sequence
 
-from .linearize import (
+from .tokenizers import (
     END_TRIPLE_TOKEN,
     OBJ_TOKEN,
     REL_TOKEN,
     SUB_TOKEN,
     TRIPLE_MARKER,
+    Tokenizer,
 )
-from .tokenizers import Tokenizer
 from .trie import ConstraintTrie
 
 
@@ -215,7 +215,7 @@ def beam_search(
 
     Returns up to ``beam_size`` hypotheses ranked by cumulative
     log-probability. Hypotheses end with EOS (which contributes its own
-    log-probability) or are cut at ``max_len`` tokens.
+    log-probability; no trie holds it) or are cut at ``max_len`` tokens.
 
     A scorer that returns the wrong number of log-probabilities, a NaN or
     a positive value breaks the :class:`TokenScorer` contract and raises
@@ -260,8 +260,6 @@ def beam_search(
                 raise DecodeError(
                     f"scorer returned {len(logprobs)} log-probs for {len(allowed)} candidates"
                 )
-            # EOS inside a label is a label token (a title may hold "</s>").
-            eos_finishes = state.phase not in _TRIE_PHASES
             base, tokens = hyp.score, hyp.tokens
             for token, logprob in zip(allowed, logprobs):
                 if not logprob <= 0.0:
@@ -269,7 +267,7 @@ def beam_search(
                         f"scorer returned log-prob {logprob!r} for token {token}; "
                         "log-probs must be finite or -inf, and <= 0"
                     )
-                if token == eos and eos_finishes:
+                if token == eos:
                     finished.append(Hypothesis(
                         tokens + (token,), base + logprob,
                         GenState(done, 0, state.triples_emitted),

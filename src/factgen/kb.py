@@ -8,11 +8,13 @@ and ``build-kb``) loads the store without its triples: then it holds the
 four maps alone, and a pair question raises :class:`KbError` rather than
 answer empty.
 
-A triple's tail value is an entity qid or a bare year literal; year literals
-are kept as raw strings because dates carry no entity id of their own. A qid
-may therefore never read as a year. :meth:`KbStore.value_label` and its
-inverse :meth:`KbStore.resolve_value` are the one place that rule is
-applied: a value's label is the entity title, or the year itself.
+A triple's tail value is an entity qid or a bare year literal (``0``, or
+1-4 digits with no leading zero); year literals are kept as raw strings
+because dates carry no entity id of their own. A qid may therefore never
+read as a year. :meth:`KbStore.value_label` and its inverse
+:meth:`KbStore.resolve_value` are the one place that rule is applied: a
+value's label is the entity title, or the year itself. Titles and relation
+labels survive the linearized language (:func:`is_label`).
 """
 
 from __future__ import annotations
@@ -20,15 +22,26 @@ from __future__ import annotations
 import re
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-YEAR_RE = re.compile(r"^[0-9]{1,4}$")
+from .tokenizers import SPECIAL_TOKENS
+
+YEAR_RE = re.compile(r"0|[1-9][0-9]{0,3}")
+_RESERVED_RE = re.compile("|".join(map(re.escape, SPECIAL_TOKENS)))
+_NOT_A_LABEL = "holds a reserved symbol or leading or trailing whitespace"
 
 # (line number, fields) rows of one KB file, or of in-memory records.
 _Rows = Iterable[tuple[int, Sequence[str]]]
 
 
 def is_year_literal(value: str) -> bool:
-    """True if the string is a bare 1-4 digit year."""
-    return bool(YEAR_RE.match(value))
+    """True if the string is a year in its one spelling: ``0``, or one to
+    four digits without a leading zero."""
+    return YEAR_RE.fullmatch(value) is not None
+
+
+def is_label(text: str) -> bool:
+    """True if the text may be a title or relation label: it holds no
+    reserved symbol and has no leading or trailing whitespace."""
+    return text == text.strip() and _RESERVED_RE.search(text) is None
 
 
 class KbError(Exception):
@@ -83,6 +96,8 @@ class KbStore:
                 problem = f"entity with empty qid or title: {(qid, title)!r}"
             elif is_year_literal(qid):
                 problem = f"entity qid {qid!r} reads as a year literal"
+            elif not is_label(title):
+                problem = f"entity title {title!r} {_NOT_A_LABEL}"
             elif qid in title_of:
                 problem = f"duplicate entity qid {qid!r}"
             elif title in qid_of:
@@ -99,6 +114,8 @@ class KbStore:
         for lineno, (pid, label, _description) in rows:
             if not pid or not label:
                 problem = f"relation with empty pid or label: {(pid, label)!r}"
+            elif not is_label(label):
+                problem = f"relation label {label!r} {_NOT_A_LABEL}"
             elif pid in label_of:
                 problem = f"duplicate relation pid {pid!r}"
             elif label in pid_of:
@@ -241,9 +258,10 @@ def load_kb(
     entities: ``qid<TAB>title``; relations: ``pid<TAB>label<TAB>description``
     (the description is required but not kept); triples:
     ``head_qid<TAB>pid<TAB>tail_value``. Duplicate triples are deduplicated
-    silently; duplicate qids/titles/pids, a qid that reads as a year and
-    dangling triple references raise :class:`KbIntegrityError` with the
-    offending location.
+    silently; duplicate qids/titles/pids, a qid that reads as a year, a
+    title or relation label that is not :func:`is_label` and dangling
+    triple references raise :class:`KbIntegrityError` with the offending
+    location.
 
     With ``triples_path`` None the triples file is neither opened nor
     checked: the store resolves entities, relations and values as usual,

@@ -20,15 +20,16 @@ import re
 from typing import Iterable, NamedTuple, Sequence
 
 from .kb import KbStore, Triple, is_year_literal
-
-SUB_TOKEN = "<sub>"
-REL_TOKEN = "<rel>"
-OBJ_TOKEN = "<obj>"
-END_TRIPLE_TOKEN = "<et>"
-ENTITY_MARKER = "[ENTITY]"
-TRIPLE_MARKER = "[TRIPLE]"
-EL_PROMPT = "<#el#>"
-IE_PROMPT = "<#tri#>"
+from .tokenizers import (
+    EL_PROMPT,
+    END_TRIPLE_TOKEN,
+    ENTITY_MARKER,
+    IE_PROMPT,
+    OBJ_TOKEN,
+    REL_TOKEN,
+    SUB_TOKEN,
+    TRIPLE_MARKER,
+)
 
 _BLOCK_TOKENS = (SUB_TOKEN, REL_TOKEN, OBJ_TOKEN, END_TRIPLE_TOKEN)
 _BLOCK_SPLIT_RE = re.compile("(" + "|".join(re.escape(t) for t in _BLOCK_TOKENS) + ")")

@@ -71,13 +71,14 @@ def map_date_to_year(surface: str) -> str | None:
     """Extract the year from a recognized date surface form, else None.
 
     Recognized forms: "Month D, YYYY", "D Month YYYY", "YYYY-MM-DD" and a
-    bare year of one to four digits.
+    bare year of one to four digits. The year comes back in its one
+    spelling, without leading zeros: "0012-05-05" gives "12".
     """
     surface = surface.strip()
     for pattern in _DATE_PATTERNS:
         match = pattern.match(surface)
         if match:
-            return match.group(1)
+            return str(int(match.group(1)))
     return None
 
 
@@ -161,7 +162,9 @@ class HypothesisTemplates:
                 if pid in by_pid:
                     raise TemplateError(f"{context}: duplicate pid {pid!r}")
                 by_pid[pid] = templates
-        return cls(by_pid)
+        loaded = cls.__new__(cls)  # every list is checked above, with its line
+        loaded.by_pid = by_pid
+        return loaded
 
     def _label(self, kb: KbStore, value: str) -> str:
         label = kb.value_label(value)

@@ -91,7 +91,8 @@ def _span_from_input(raw: Mapping, context: str) -> MentionSpan:
     _check_type(context, "surface", surface, str)
     link = raw.get("link")
     if link is None and "date" in raw:
-        link = map_date_to_year(str(raw["date"]))
+        _check_type(context, "date", raw["date"], str)
+        link = map_date_to_year(raw["date"])
     elif link is not None and type(link) is not str:
         raise RecordError(f"{context}: link must be str or null, got {link!r}")
     try:

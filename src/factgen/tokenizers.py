@@ -1,10 +1,12 @@
-"""Tokenizer interface and the byte-level reference tokenizer.
+"""Reserved symbols, the tokenizer interface and the byte-level tokenizer.
 
+The nine reserved symbols of the linearized language are defined here, once.
 Decoding constraints operate on token ids, so every tokenizer must map each
-reserved symbol (``<sub>``, ``<rel>``, ..., end-of-sequence) to exactly one
-id and must invert its own encoding exactly on label strings. Production
-subword tokenizers plug in behind the same protocol; the byte-level
-tokenizer here is the deterministic default used across the test suite.
+reserved symbol to exactly one id and must invert its own encoding exactly
+on label strings, which hold no reserved symbol (:func:`factgen.kb.is_label`).
+Production subword tokenizers plug in behind the same protocol; the
+byte-level tokenizer here is the deterministic default used across the test
+suite.
 """
 
 from __future__ import annotations
@@ -12,18 +14,15 @@ from __future__ import annotations
 import re
 from typing import Iterable, Protocol, runtime_checkable
 
-from .linearize import (
-    EL_PROMPT,
-    END_TRIPLE_TOKEN,
-    ENTITY_MARKER,
-    IE_PROMPT,
-    OBJ_TOKEN,
-    REL_TOKEN,
-    SUB_TOKEN,
-    TRIPLE_MARKER,
-)
-
 EOS_TOKEN = "</s>"
+SUB_TOKEN = "<sub>"
+REL_TOKEN = "<rel>"
+OBJ_TOKEN = "<obj>"
+END_TRIPLE_TOKEN = "<et>"
+ENTITY_MARKER = "[ENTITY]"
+TRIPLE_MARKER = "[TRIPLE]"
+EL_PROMPT = "<#el#>"
+IE_PROMPT = "<#tri#>"
 
 #: Reserved symbols in id-assignment order; EOS first.
 SPECIAL_TOKENS = (

@@ -83,6 +83,10 @@ class ConstraintTrie:
     def is_terminal(self, node: int) -> bool:
         return self._terminal[node] == 1
 
+    def has_token(self, token_id: int) -> bool:
+        """True if some label's encoding holds ``token_id``."""
+        return token_id in self._tokens
+
     def _walk(self, ids: Sequence[int]) -> int:
         node = _ROOT
         for token_id in ids:
@@ -165,15 +169,19 @@ def build_trie(labels: Iterable[str], tokenizer: Tokenizer) -> ConstraintTrie:
     """Build a trie accepting exactly the encodings of the label set.
 
     Duplicate labels are harmless; an empty label is an error because the
-    empty sequence must never be a completion.
+    empty sequence must never be a completion, and so is a label whose
+    encoding holds end-of-sequence, which always ends a hypothesis.
     """
     encodings = set()
+    eos = tokenizer.eos_id
     for label in labels:
         if not label:
             raise TrieBuildError("empty label")
         ids = tuple(tokenizer.encode(label))
         if not ids:
             raise TrieBuildError(f"label {label!r} encodes to no tokens")
+        if eos in ids:
+            raise TrieBuildError(f"label {label!r} holds end-of-sequence (id {eos})")
         encodings.add(ids)
     ordered = sorted(encodings)
     first = array("I", [0])
@@ -204,6 +212,8 @@ def year_labels(first: int = 1, last: int = 2100) -> list[str]:
     only 0..9999, the years ``is_year_literal`` reads, which the KB resolves."""
     if not (0 <= first <= 9999 and 0 <= last <= 9999):
         raise ValueError(f"year bounds must lie in 0..9999, got {first}..{last}")
+    if first > last:
+        raise ValueError(f"first year must not exceed last year, got {first}..{last}")
     return [str(year) for year in range(first, last + 1)]
 
 

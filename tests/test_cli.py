@@ -5,6 +5,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from factgen.kb import Triple, load_kb
 from factgen.pipeline import HypothesisTemplates
 from factgen.records import load_dataset, write_jsonl
 from factgen.scorers import ExternalScorerClient
+from factgen.trie import ConstraintTrie
 
 from .corpus import (
     CLI,
@@ -375,23 +377,25 @@ def test_bad_bound_fails_before_input_is_read(
 
 @pytest.mark.parametrize("kb_exists", [True, False], ids=["kb", "no-kb"])
 @pytest.mark.parametrize(
-    "flags, bounds",
-    [(["--years-last", "10003"], "1..10003"), (["--years-first", "-3"], "-3..2100")],
-    ids=["years-last-10003", "years-first-minus-3"],
+    "flags, message",
+    [
+        (["--years-last", "10003"], "year bounds must lie in 0..9999, got 1..10003"),
+        (["--years-first", "-3"], "year bounds must lie in 0..9999, got -3..2100"),
+        (["--years-first", "2000", "--years-last", "1000"],
+         "first year must not exceed last year, got 2000..1000"),
+    ],
+    ids=["years-last-10003", "years-first-minus-3", "years-reversed"],
 )
 def test_bad_year_bound_fails_before_the_kb_is_read(
-    kb_paths, tmp_path, capsys, flags, bounds, kb_exists
+    kb_paths, tmp_path, capsys, flags, message, kb_exists
 ):
     # A year outside 0..9999 is no year literal: the tail trie would accept
-    # a value the KB cannot resolve.
+    # a value the KB cannot resolve. Reversed bounds would admit no year.
     kb = kb_paths if kb_exists else {kind: str(tmp_path / kind) for kind in kb_paths}
     out = tmp_path / "tail.trie"
     code = cli.main(["build-trie", *kb_flags(kb), *flags, "--out-tail", str(out)])
     assert code == 1
-    assert stage_error(capsys) == {
-        "stage": "build-trie",
-        "error": f"ValueError: year bounds must lie in 0..9999, got {bounds}",
-    }
+    assert stage_error(capsys) == {"stage": "build-trie", "error": f"ValueError: {message}"}
     assert list(tmp_path.iterdir()) == []
 
 
@@ -494,6 +498,28 @@ def test_decode_reads_the_kb_only_to_build_a_missing_trie(tmp_path, mode):
     assert cli.main(argv) == 0
     assert out.read_bytes() == with_kb[0]
     assert json.loads(manifest.read_bytes())["inputs"] == [str(data), *tries[1::2]]
+
+
+def test_decode_rejects_a_trie_cache_that_holds_eos(tmp_path, capsys):
+    # The cache build-trie wrote for the title "A</s>B" before the KB
+    # rejected such titles: the chain A, EOS (id 256), B.
+    cache = tmp_path / "entity.trie"
+    chain = ConstraintTrie(
+        array("I", [0, 1, 2, 3, 3]), array("I", [65, 256, 66]), bytearray([0, 0, 0, 1])
+    )
+    chain.save(str(cache))
+    data = tmp_path / "instances.jsonl"
+    write_jsonl(str(data), [{"id": "a", "input": "x", "target": ""}])
+    out = tmp_path / "pred.jsonl"
+    argv = ["decode", "--input", str(data), "--entity-trie", str(cache),
+            "--relation-trie", str(cache), "--tail-trie", str(cache), "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert stage_error(capsys) == {
+        "stage": "decode",
+        "error": f"TrieCacheError: {cache}: a label holds end-of-sequence (id 256): "
+        "rerun build-trie to rewrite it",
+    }
+    assert not out.exists()
 
 
 def test_decode_names_the_kb_flags_a_trie_build_lacks(kb_paths, tmp_path, capsys):

@@ -485,8 +485,8 @@ class HashScorer:
     candidate -1.0, ``neginf`` is quantized with about a third at -inf.
     With ``special_first`` the ``[TRIPLE]`` marker scores 0 and the other
     reserved ids (EOS, the delimiters) rank one level above bytes, so
-    free-form decoding reaches the constrained part and EOS shows up
-    inside labels.
+    free-form decoding reaches the constrained part and closing symbols
+    compete with label bytes.
     """
 
     MARKER = ByteTokenizer().special_id("[TRIPLE]")
@@ -514,32 +514,14 @@ class HashScorer:
         return out
 
 
-# "</s>" is the EOS literal: inside a label it is a label token, not the end.
-EOS_ENTITIES = ["Io", "I</s>", "Io</s>o", "It"]
-
-
-def eos_label_tries():
-    tok = ByteTokenizer()
-    return DecodingTries(
-        entity=build_trie(EOS_ENTITIES, tok),
-        relation=build_trie(["in", "n</s>"], tok),
-        tail=build_trie(EOS_ENTITIES + ["17"], tok),
-    )
-
-
-EXACTNESS_TRIES = eos_label_tries()
-
-
-def test_eos_inside_a_label_is_not_an_ending(oracle_scorer_cls):
-    tok = ByteTokenizer()
-    gold = tuple(tok.encode("<sub>I</s><rel>n</s><obj>Io</s>o<et>") + [tok.eos_id])
-    assert gold.count(tok.eos_id) == 4
-    hyps = beam_search(
-        oracle_scorer_cls(gold), tok, mode="constrained", tries=EXACTNESS_TRIES,
-        beam_size=2, max_len=32,
-    )
-    assert hyps[0].tokens == gold
-    assert hyps[0].state == GenState(Phase.DONE, 0, 1)
+# "I" is a prefix of "Io", and "Io" of "Ioo": a complete label that a
+# longer label extends, so the closing symbol competes with label bytes.
+EXACTNESS_ENTITIES = ["Io", "I", "Ioo", "It"]
+EXACTNESS_TRIES = DecodingTries(
+    entity=build_trie(EXACTNESS_ENTITIES, ByteTokenizer()),
+    relation=build_trie(["in", "n"], ByteTokenizer()),
+    tail=build_trie(EXACTNESS_ENTITIES + ["17"], ByteTokenizer()),
+)
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)

@@ -6,9 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factgen.evaluation import resolve_raw_triple
-from factgen.kb import KbError, KbIntegrityError, KbLoadError, KbStore, Triple, load_kb
-from factgen.linearize import linearize, parse_linearized
+from factgen.evaluation import resolve_raw_triple, score_predictions
+from factgen.kb import (
+    KbError,
+    KbIntegrityError,
+    KbLoadError,
+    KbStore,
+    Triple,
+    is_label,
+    load_kb,
+)
+from factgen.linearize import RawTriple, linearize, linearize_labels, parse_linearized
+from factgen.tokenizers import SPECIAL_TOKENS, ByteTokenizer
 
 
 def write_kb_files(tmp_path, entities, relations, triples):
@@ -216,15 +225,19 @@ def test_titles_are_case_significant():
     assert store.resolve_title("APPLE") is None
 
 
+# A year's one spelling: 0, or 1-4 digits without a leading zero.
+YEAR_SPELLING = r"0|[1-9][0-9]{0,3}"
+
+
 def _is_year(value: str) -> bool:
-    return re.fullmatch(r"[0-9]{1,4}", value) is not None
+    return re.fullmatch(YEAR_SPELLING, value) is not None
 
 
 # Labels that survive linearize/parse_linearized: trimmed, no delimiters.
 _labels = st.text(alphabet="ab1 ", min_size=1, max_size=5).filter(
     lambda s: s == s.strip() and not _is_year(s)
 )
-_years = st.from_regex(r"[0-9]{1,4}", fullmatch=True)
+_years = st.from_regex(YEAR_SPELLING, fullmatch=True)
 
 
 @st.composite
@@ -275,6 +288,7 @@ def test_value_rule_matches_bruteforce_oracle(case):
 
 # Every load error, by the file and line it names and its exact text. The
 # good rows sit on line 1 of each file, so each bad row is on line 2.
+NOT_A_LABEL = "holds a reserved symbol or leading or trailing whitespace"
 GOOD_ENTITY = ("Q1", "Alpha")
 GOOD_RELATION = ("P1", "founded", "")
 
@@ -309,6 +323,27 @@ GOOD_RELATION = ("P1", "founded", "")
          "triple tail 'Q404' is neither a known entity nor a year literal"),
         ("triples", ("Q1", "P1", "12345"), KbIntegrityError,
          "triple tail '12345' is neither a known entity nor a year literal"),
+        ("triples", ("Q1", "P1", "0012"), KbIntegrityError,
+         "triple tail '0012' is neither a known entity nor a year literal"),
+        ("entities", ("Q2", "A <rel> B"), KbIntegrityError,
+         f"entity title 'A <rel> B' {NOT_A_LABEL}"),
+        ("entities", ("Q2", " padded "), KbIntegrityError,
+         f"entity title ' padded ' {NOT_A_LABEL}"),
+        ("entities", ("Q2", "A</s>B"), KbIntegrityError, f"entity title 'A</s>B' {NOT_A_LABEL}"),
+        ("entities", ("Q2", "Beta\u00a0"), KbIntegrityError,
+         f"entity title 'Beta\\xa0' {NOT_A_LABEL}"),  # repr() escapes the NBSP
+        ("relations", ("P2", "founded ", ""), KbIntegrityError,
+         f"relation label 'founded ' {NOT_A_LABEL}"),
+        *[
+            ("entities", ("Q2", f"Beta{symbol}"), KbIntegrityError,
+             f"entity title 'Beta{symbol}' {NOT_A_LABEL}")
+            for symbol in SPECIAL_TOKENS
+        ],
+        *[
+            ("relations", ("P2", f"{symbol}r", ""), KbIntegrityError,
+             f"relation label '{symbol}r' {NOT_A_LABEL}")
+            for symbol in SPECIAL_TOKENS
+        ],
     ],
 )
 def test_every_load_error_names_its_file_and_line(tmp_path, bad_file, bad_row, error, message):
@@ -341,3 +376,60 @@ def test_blank_lines_and_crlf_endings_are_read_as_before(tmp_path):
     store = load_kb(*paths)
     assert store.entity_label("Q2") == "Beta"
     assert store.relations_between("Q1", "Q2") == {"P1"}
+
+
+@pytest.mark.parametrize("title", ["Zoë Ålborg", "नई दिल्ली", "1917"])
+def test_non_ascii_and_year_like_titles_load_and_score_their_gold(tmp_path, title):
+    paths = write_kb_files(
+        tmp_path, [("Q1", title), ("Q2", "Paris")], [("P1", "capital", "")],
+        [("Q1", "P1", "Q2")],
+    )
+    store = load_kb(*paths)
+    gold = [Triple("Q1", "P1", "Q2")]
+    tok = ByteTokenizer()
+    output = tok.decode(tok.encode(linearize(gold, store)))
+    report = score_predictions({"a": parse_linearized(output)}, {"a": gold}, store)
+    assert report.counts[:3] == (1, 0, 0)  # tp, fp, fn
+
+
+# Label texts from full Unicode, Devanagari included, mixed with the reserved
+# symbols and with whitespace (ASCII and not) so that both sides of the rule
+# come up often.
+_label_texts = st.lists(
+    st.one_of(
+        st.text(max_size=4),
+        st.text(st.characters(min_codepoint=0x0900, max_codepoint=0x097F), max_size=4),
+        st.sampled_from(SPECIAL_TOKENS),
+        st.sampled_from(" \t\n\x1c\x85\u00a0\u2028\u3000"),
+    ),
+    max_size=5,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_label_texts)
+def test_label_rule_matches_bruteforce_oracle_and_the_round_trip(text):
+    holds_symbol = any(symbol in text for symbol in SPECIAL_TOKENS)
+    assert is_label(text) == (not holds_symbol and text == text.strip())
+    if not text:
+        return  # an empty title or label is rejected by its own rule
+    # The store built from records applies the rule as load_kb does.
+    records = ([("Q1", text)], [("P1", text, "")], [])
+    if is_label(text):
+        KbStore.from_records(*records)
+    else:
+        with pytest.raises(KbIntegrityError) as raised:
+            KbStore.from_records(*records)
+        assert str(raised.value) == f"entity title {text!r} {NOT_A_LABEL}"
+    # Accepted labels survive the linearized language. A rejected label with
+    # no reserved symbol (edge whitespace) does not. One holding a symbol may
+    # still round-trip ([ENTITY], [TRIPLE], <#el#> and <#tri#> are not triple
+    # delimiters); it is rejected because every reserved symbol is a control
+    # id of the decoder.
+    tok = ByteTokenizer()
+    triple = RawTriple(text, text, text)
+    back = parse_linearized(tok.decode(tok.encode(linearize_labels([triple]))))
+    if is_label(text):
+        assert back == [triple]
+    elif not holds_symbol:
+        assert back != [triple]

@@ -51,6 +51,11 @@ def sentence_with_links(links: list[str | None], sid: str = "s") -> LinkedSenten
         ("2018", "2018"),
         ("7", "7"),
         (" 2018 ", "2018"),
+        # A year has one spelling: no leading zeros.
+        ("0012-05-05", "12"),
+        ("January 1, 0950", "950"),
+        ("0012", "12"),
+        ("0000", "0"),
     ],
 )
 def test_recognized_date_forms(surface, year):
@@ -325,13 +330,20 @@ def test_template_placeholders_are_validated():
         HypothesisTemplates({"P36": []})
 
 
-def test_templates_load_jsonl(tmp_path, small_kb, capital_sentence):
+def test_templates_load_jsonl(tmp_path, small_kb, capital_sentence, monkeypatch):
     path = tmp_path / "templates.jsonl"
     path.write_text(
         '{"pid": "P36", "templates": ["{tail} is the capital of {head}."]}\n',
         encoding="utf-8",
     )
+    checked = []
+    check = HypothesisTemplates._check
+    monkeypatch.setattr(
+        HypothesisTemplates, "_check",
+        staticmethod(lambda pid, templates: checked.append(pid) or check(pid, templates)),
+    )
     templates = HypothesisTemplates.load(str(path))
+    assert checked == ["P36"]  # each list is checked once, where its line is known
     rendered = templates.hypotheses_for(Triple("Q145", "P36", "Q84"), small_kb)
     assert rendered == ["London is the capital of United Kingdom."]
 

@@ -223,6 +223,8 @@ SPAN_AND_TRIPLE_ERRORS = [
     ((load_input_sentences,), {"id": "s"}, "record lacks 'text'"),
     ((load_input_sentences,), {"text": TEXT}, "record lacks 'id'"),
     ((load_input_sentences,), dict(_with_spans(), spans=5), "spans must be list, got 5"),
+    (BOTH_LOADERS, _with_spans(dict(ROME, link=None, date=True)), "date must be str, got True"),
+    (BOTH_LOADERS, _with_spans(dict(ROME, link=None, date=476)), "date must be str, got 476"),
 ]
 
 

@@ -42,6 +42,12 @@ def test_empty_label_is_an_error(tok):
         build_trie(["ok", ""], tok)
 
 
+def test_a_label_holding_eos_is_an_error(tok):
+    # EOS always ends a hypothesis, so no label may hold it.
+    with pytest.raises(TrieBuildError, match=r"^label 'A</s>B' holds end-of-sequence \(id 256\)$"):
+        build_trie(["ok", "A</s>B"], tok)
+
+
 def test_duplicate_labels_are_idempotent(tok):
     once = build_trie(["Italy", "India"], tok)
     twice = build_trie(["Italy", "India", "Italy"], tok)

@@ -5,12 +5,22 @@ two checkout directories, once per seed, alternating which side runs first
 (the parent first on the first seed). Each run is the benchmark's own, from
 its own checkout, with the interpreter that runs this script. At the end it
 prints one JSON line: per end-to-end metric, each side's per-seed values,
-median and quartiles, and the pairs the change won (a tie counts for
-neither side), plus whether every run was correct with 0 failed.
+median and quartiles, the pairs the change won (a tie counts for neither
+side) and a verdict, plus whether every run was correct with 0 failed.
 
-The direction of each metric ("higher" or "lower" is better) comes from the
-``end_to_end`` list of the parent's ``BENCHMARK.json``. Standard library
-only; it writes nothing outside the benchmark's own run directories.
+The verdict applies these rules, in this order:
+
+- ``regressed``: the change's median is worse than the parent's by more
+  than the metric's bound, a share of the parent's median;
+- ``gain``: the change won at least 9 of every 10 pairs, and its median is
+  better by more than the parent's interquartile range (IQR);
+- ``unresolved``: the parent's IQR is a larger share of its median than
+  the bound, and not every change run reads better than every parent run;
+- ``no_regression`` otherwise.
+
+Each metric's direction ("higher" or "lower" is better) and bound come
+from the ``end_to_end`` list of the parent's ``BENCHMARK.json``. Standard
+library only; it writes nothing outside the benchmark's own run directories.
 
 Usage:
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload dataset \
@@ -21,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -59,20 +70,43 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
-def summarize(
-    directions: dict[str, str], runs: dict[str, list[dict]], seeds: list[int]
-) -> dict:
+def verdict(
+    better: str, bound: float, parent: list[float], change: list[float], wins: int
+) -> tuple[str, float]:
+    """The verdict on one metric, and the parent's IQR as a share of its median."""
+    q1, median, q3 = quartiles(parent)
+    iqr = q3 - q1
+    iqr_share = iqr / abs(median) if median else (math.inf if iqr else 0.0)
+    sign = 1 if better == "higher" else -1
+    gain = sign * (statistics.median(change) - median)  # > 0: the change is better
+    if gain < -bound * abs(median):
+        return "regressed", iqr_share
+    if wins * 10 >= 9 * len(parent) and gain > iqr:
+        return "gain", iqr_share
+    separated = min(sign * v for v in change) > max(sign * v for v in parent)
+    if iqr_share > bound and not separated:
+        return "unresolved", iqr_share
+    return "no_regression", iqr_share
+
+
+def summarize(specs: dict[str, dict], runs: dict[str, list[dict]], seeds: list[int]) -> dict:
+    """Per end-to-end metric (``specs``: name -> its ``BENCHMARK.json``
+    entry) that every run reports: values, quartiles, wins and verdict."""
     metrics = {}
-    for name, better in directions.items():
+    for name, spec in specs.items():
         values = {
             side: [run["metrics"].get(name, {}).get("value") for run in side_runs]
             for side, side_runs in runs.items()
         }
         if any(v is None for side_values in values.values() for v in side_values):
             continue  # the workload does not report this metric
+        better = spec["better"]
         wins = sum(
             (change > parent) if better == "higher" else (change < parent)
             for parent, change in zip(values["parent"], values["change"])
+        )
+        outcome, iqr_share = verdict(
+            better, spec["bound"], values["parent"], values["change"], wins
         )
         metrics[name] = {
             "better": better,
@@ -86,6 +120,9 @@ def summarize(
             },
             "change_wins": wins,
             "pairs": len(seeds),
+            "verdict": outcome,
+            "parent_iqr_share": iqr_share,
+            "bound": spec["bound"],
         }
     return metrics
 
@@ -99,7 +136,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, required=True)
     args = parser.parse_args(argv)
     benchmark = json.loads((args.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
-    directions = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    specs = {m["name"]: m for m in benchmark["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for index, seed in enumerate(args.seeds):
@@ -113,12 +150,17 @@ def main(argv: list[str] | None = None) -> int:
         run.get("correct") is True and run.get("failed") == 0 and run["exit_code"] == 0
         for side_runs in runs.values() for run in side_runs
     )
+    metrics = summarize(specs, runs, args.seeds)
+    for name, metric in metrics.items():
+        print(f"{name}: {metric['verdict']} (parent IQR {metric['parent_iqr_share']:.1%} "
+              f"of its median, bound {metric['bound']:.0%}, change won "
+              f"{metric['change_wins']}/{metric['pairs']})", file=sys.stderr)
     print(json.dumps({
         "workload": args.workload,
         "seeds": args.seeds,
         "seconds": args.seconds,
         "all_correct": all_correct,
-        "metrics": summarize(directions, runs, args.seeds),
+        "metrics": metrics,
     }, sort_keys=True))
     return 0 if all_correct else 1
 

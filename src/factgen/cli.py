@@ -67,6 +67,7 @@ from .records import (
     load_predictions,
     prediction_record,
     read_jsonl,
+    unique_instances,
     unique_records,
     write_jsonl,
 )
@@ -177,6 +178,8 @@ def _parse_split(text: str) -> tuple[float, float, float]:
         parts = []
     if len(parts) != 3:
         raise ValueError(f"--split needs three comma-separated numbers, got {text!r}")
+    if min(parts) < 0:
+        raise ValueError(f"--split parts must not be negative, got {text!r}")
     total = sum(parts)
     if math.isclose(total, 100.0, abs_tol=1e-6):
         parts = [p / 100.0 for p in parts]
@@ -329,7 +332,7 @@ def cmd_targets(args: argparse.Namespace) -> None:
 def _load_tries(args: argparse.Namespace, tokenizer: ByteTokenizer) -> DecodingTries:
     """Each trie from its ``--<kind>-trie`` cache when given, else built from
     the KB, which is read only when some cache is missing. A cache that
-    holds end-of-sequence was built from a label the KB now rejects."""
+    holds a reserved symbol was built from a label the KB now rejects."""
     from .decode import DecodingTries
 
     kb = None
@@ -338,10 +341,10 @@ def _load_tries(args: argparse.Namespace, tokenizer: ByteTokenizer) -> DecodingT
         cache = getattr(args, f"{kind}_trie")
         if cache:
             tries[kind] = ConstraintTrie.load(cache)
-            if tries[kind].has_token(tokenizer.eos_id):
+            held = tries[kind].reserved_symbol(tokenizer)
+            if held:
                 raise TrieCacheError(
-                    f"{cache}: a label holds end-of-sequence (id {tokenizer.eos_id}): "
-                    "rerun build-trie to rewrite it"
+                    f"{cache}: a label holds {held}: rerun build-trie to rewrite it"
                 )
         else:
             if kb is None:
@@ -361,20 +364,18 @@ def cmd_decode(args: argparse.Namespace) -> None:
     from .scorers import ExternalLmScorer, NgramScorer
 
     tokenizer = ByteTokenizer()
-    instances = unique_records(args.input, read_jsonl(args.input))
-    gold_targets = [
-        tokenizer.encode(row.get("target", row.get("target_ie", "")))
-        for row in instances
-    ]
+    instances = unique_instances(args.input, read_jsonl(args.input))
     tries = None
     if args.mode in ("constrained", "partial"):
         tries = _load_tries(args, tokenizer)
-    mock = functools.partial(
-        NgramScorer, gold_targets, tokenizer.vocab_size, tokenizer.eos_id, order=args.ngram_order
-    )
+
+    def mock() -> NgramScorer:
+        gold = [tokenizer.encode(target) for _, target in instances]
+        return NgramScorer(gold, tokenizer.vocab_size, tokenizer.eos_id, order=args.ngram_order)
+
     rows = []
     with _open_scorer(args.scorer, mock, ExternalLmScorer) as scorer:
-        for row in instances:
+        for instance_id, _ in instances:
             hypotheses = beam_search(
                 scorer,
                 tokenizer,
@@ -384,7 +385,7 @@ def cmd_decode(args: argparse.Namespace) -> None:
                 max_len=args.max_len,
             )
             output = tokenizer.decode(hypotheses[0].tokens)
-            rows.append(prediction_record(str(row["id"]), output))
+            rows.append(prediction_record(instance_id, output))
     config = {
         "mode": args.mode,
         "scorer": args.scorer,

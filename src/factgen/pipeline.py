@@ -1,12 +1,13 @@
 """Dataset-construction pipeline over entity-linked sentences.
 
-Stages: date surfaces are mapped to bare years; distant supervision pairs
-every two linked mentions and keeps the relations the KB knows for them; an
-entailment scorer filters triples the sentence does not actually express
-(max score over one or more templated hypotheses, strict ``> threshold``
-comparison); negative examples are sampled evenly from the two categories of
-records without triples (at most one linked mention / several mentions); and
-the result is split 90/5/5 by default.
+Stages: distant supervision pairs every two linked mentions and keeps the
+relations the KB knows for them; an entailment scorer filters triples the
+sentence does not actually express (max score over one or more templated
+hypotheses, strict ``> threshold`` comparison); negative examples are
+sampled evenly from the two categories of records without triples (at most
+one linked mention / several mentions); and the result is split 90/5/5 by
+default. Date surfaces arrive already mapped to bare years, by
+:mod:`factgen.records` at ingestion.
 
 DS extraction and filtering are pure per-sentence functions; sampling and
 splitting are seed-deterministic.
@@ -14,15 +15,14 @@ splitting are seed-deterministic.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import random
-import re
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, TypeVar
 
 from .kb import KbStore, Triple
 from .linearize import LinkedSentence, order_triples
+from .records import read_jsonl
 
 if TYPE_CHECKING:
     from .scorers import NliScorer
@@ -32,21 +32,6 @@ logger = logging.getLogger(__name__)
 DEFAULT_ENTAIL_THRESHOLD = 0.7
 DEFAULT_SPLIT = (0.90, 0.05, 0.05)
 MIN_SENTENCE_WORDS = 10
-
-_MONTHS = (
-    "January|February|March|April|May|June|July|August|September|October"
-    "|November|December"
-)
-_DATE_PATTERNS = (
-    # "October 10, 2018"
-    re.compile(rf"^(?:{_MONTHS}) [0-9]{{1,2}}, ([0-9]{{1,4}})$", re.IGNORECASE),
-    # "10 October 2018"
-    re.compile(rf"^[0-9]{{1,2}} (?:{_MONTHS}) ([0-9]{{1,4}})$", re.IGNORECASE),
-    # "2018-10-10"
-    re.compile(r"^([0-9]{1,4})-[0-9]{2}-[0-9]{2}$"),
-    # bare year
-    re.compile(r"^([0-9]{1,4})$"),
-)
 
 T = TypeVar("T")
 
@@ -65,21 +50,6 @@ class SamplingError(PipelineError):
 
 class SplitError(PipelineError):
     pass
-
-
-def map_date_to_year(surface: str) -> str | None:
-    """Extract the year from a recognized date surface form, else None.
-
-    Recognized forms: "Month D, YYYY", "D Month YYYY", "YYYY-MM-DD" and a
-    bare year of one to four digits. The year comes back in its one
-    spelling, without leading zeros: "0012-05-05" gives "12".
-    """
-    surface = surface.strip()
-    for pattern in _DATE_PATTERNS:
-        match = pattern.match(surface)
-        if match:
-            return str(int(match.group(1)))
-    return None
 
 
 def extract_ds_triples(sentence: LinkedSentence, kb: KbStore) -> list[Triple]:
@@ -138,30 +108,21 @@ class HypothesisTemplates:
         """Read a JSONL file of ``{"pid": ..., "templates": [...]}`` rows;
         a repeated pid is an error."""
         by_pid: dict[str, list[str]] = {}
-        with open(path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                context = f"{path}:{lineno}"
-                try:
-                    row = json.loads(line)
-                except ValueError as exc:
-                    raise TemplateError(f"{context}: {exc}") from None
-                if type(row) is not dict:
-                    raise TemplateError(f"{context}: template row must be an object, got {row!r}")
-                try:
-                    pid, templates = row["pid"], row["templates"]
-                except KeyError as exc:
-                    raise TemplateError(f"{context}: {exc}") from None
-                if type(pid) is not str:
-                    raise TemplateError(f"{context}: pid must be str, got {pid!r}")
-                try:
-                    cls._check(pid, templates)
-                except TemplateError as exc:
-                    raise TemplateError(f"{context}: {exc}") from None
-                if pid in by_pid:
-                    raise TemplateError(f"{context}: duplicate pid {pid!r}")
-                by_pid[pid] = templates
+        for lineno, row in read_jsonl(path):
+            context = f"{path}:{lineno}"
+            try:
+                pid, templates = row["pid"], row["templates"]
+            except KeyError as exc:
+                raise TemplateError(f"{context}: template row lacks {exc}") from None
+            if type(pid) is not str:
+                raise TemplateError(f"{context}: pid must be str, got {pid!r}")
+            try:
+                cls._check(pid, templates)
+            except TemplateError as exc:
+                raise TemplateError(f"{context}: {exc}") from None
+            if pid in by_pid:
+                raise TemplateError(f"{context}: duplicate pid {pid!r}")
+            by_pid[pid] = templates
         loaded = cls.__new__(cls)  # every list is checked above, with its line
         loaded.by_pid = by_pid
         return loaded

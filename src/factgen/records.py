@@ -1,24 +1,42 @@
 """JSON Lines record schemas shared by the pipeline stages and the CLI.
 
-Input sentences arrive as ``{"id", "text", "spans": [...], "url_domain"}``
-where each span has offsets, a surface, and either a ``link`` (entity id)
-or a ``date`` (surface form mapped to a year at ingestion); ``url_domain``
-is accepted and ignored. Dataset records add resolved triples and an
-``is_negative`` flag written as "no triples" and never read back; their
-spans are parsed by the same rule as input spans. Training-instance records
-(built in :mod:`factgen.linearize`) carry one target or the two-headed
-pair; prediction records carry the generated linearized string.
+Every JSONL file enters through :func:`read_jsonl`, and every record field
+is parsed here. Input sentences arrive as ``{"id", "text", "spans": [...],
+"url_domain"}`` where each span has offsets, a surface, and either a
+``link`` (entity id) or a ``date`` (surface form mapped to a year at
+ingestion by :func:`map_date_to_year`); ``url_domain`` is accepted and
+ignored. Dataset records are input records plus resolved triples and an
+``is_negative`` flag written as "no triples" and never read back: the
+same parser reads their id, text and spans, sorted by start.
+Training-instance records (built in :mod:`factgen.linearize`) carry one
+target or the two-headed pair; prediction records carry the generated
+linearized string.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .kb import Triple
 from .linearize import LinkedSentence, MentionSpan
-from .pipeline import map_date_to_year
+
+_MONTHS = (
+    "January|February|March|April|May|June|July|August|September|October"
+    "|November|December"
+)
+_DATE_PATTERNS = (
+    # "October 10, 2018"
+    re.compile(rf"^(?:{_MONTHS}) [0-9]{{1,2}}, ([0-9]{{1,4}})$", re.IGNORECASE),
+    # "10 October 2018"
+    re.compile(rf"^[0-9]{{1,2}} (?:{_MONTHS}) ([0-9]{{1,4}})$", re.IGNORECASE),
+    # "2018-10-10"
+    re.compile(r"^([0-9]{1,4})-[0-9]{2}-[0-9]{2}$"),
+    # bare year
+    re.compile(r"^([0-9]{1,4})$"),
+)
 
 
 class RecordError(Exception):
@@ -52,6 +70,21 @@ def write_jsonl(path: str, rows: Iterable[Mapping]) -> int:
             handle.write(encode(row) + "\n")
             count += 1
     return count
+
+
+def map_date_to_year(surface: str) -> str | None:
+    """Extract the year from a recognized date surface form, else None.
+
+    Recognized forms: "Month D, YYYY", "D Month YYYY", "YYYY-MM-DD" and a
+    bare year of one to four digits. The year comes back in its one
+    spelling, without leading zeros: "0012-05-05" gives "12".
+    """
+    surface = surface.strip()
+    for pattern in _DATE_PATTERNS:
+        match = pattern.match(surface)
+        if match:
+            return str(int(match.group(1)))
+    return None
 
 
 def _check_type(context: str, field: str, value: object, kind: type) -> None:
@@ -138,6 +171,23 @@ def unique_records(path: str, numbered_rows: Iterable[tuple[int, dict]]) -> list
     return _load_unique(path, _record_with_id, numbered_rows)
 
 
+def _instance_from_record(row: Mapping, context: str) -> tuple[str, str]:
+    _record_with_id(row, context)
+    for field in ("target", "target_ie"):
+        if field in row:
+            _check_type(context, field, row[field], str)
+    return str(row["id"]), row.get("target", row.get("target_ie", ""))
+
+
+def unique_instances(
+    path: str, numbered_rows: Iterable[tuple[int, dict]]
+) -> list[tuple[str, str]]:
+    """``(id, gold target)`` per training instance, read as in
+    :func:`unique_records`; the target is ``target``, else ``target_ie``,
+    else empty."""
+    return _load_unique(path, _instance_from_record, numbered_rows)
+
+
 def load_input_sentences(path: str) -> list[LinkedSentence]:
     """Input sentences in file order; a repeated id is an error."""
     return _load_unique(path, sentence_from_input_record, read_jsonl(path))
@@ -159,26 +209,25 @@ def dataset_record(sentence: LinkedSentence, triples: Iterable[Triple]) -> dict:
     }
 
 
+def _triple_from_record(raw: Mapping, context: str) -> Triple:
+    _check_type(context, "triple", raw, dict)
+    try:
+        fields = raw["head"], raw["pid"], raw["tail"]
+    except KeyError as exc:
+        raise RecordError(f"{context}: triple lacks {exc}") from None
+    for name, value in zip(("head", "pid", "tail"), fields):
+        _check_type(context, name, value, str)
+    return Triple(*fields)
+
+
 def parse_dataset_record(
     row: Mapping, context: str = "<record>"
 ) -> tuple[LinkedSentence, list[Triple]]:
-    try:
-        text = row["text"]
-        _check_type(context, "text", text, str)
-        spans = tuple(_spans_from_input(row, context))
-        sentence = LinkedSentence(text, spans, str(row["id"]))
-        raw_triples = row.get("triples", [])
-        _check_type(context, "triples", raw_triples, list)
-        triples = []
-        for t in raw_triples:
-            _check_type(context, "triple", t, dict)
-            fields = t["head"], t["pid"], t["tail"]
-            for name, value in zip(("head", "pid", "tail"), fields):
-                _check_type(context, name, value, str)
-            triples.append(Triple(*fields))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise RecordError(f"{context}: {exc}") from None
-    return sentence, triples
+    """An input record (:func:`sentence_from_input_record`) plus its triples."""
+    sentence = sentence_from_input_record(row, context)
+    raw = row.get("triples", [])
+    _check_type(context, "triples", raw, list)
+    return sentence, [_triple_from_record(t, context) for t in raw]
 
 
 def load_dataset(path: str) -> list[tuple[LinkedSentence, list[Triple]]]:

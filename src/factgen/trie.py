@@ -28,7 +28,7 @@ from itertools import chain, compress
 from operator import ge, or_, sub
 from typing import Iterable, NamedTuple, Sequence
 
-from .tokenizers import Tokenizer
+from .tokenizers import SPECIAL_TOKENS, Tokenizer
 
 TRIE_MAGIC = b"TRI2"
 
@@ -83,9 +83,11 @@ class ConstraintTrie:
     def is_terminal(self, node: int) -> bool:
         return self._terminal[node] == 1
 
-    def has_token(self, token_id: int) -> bool:
-        """True if some label's encoding holds ``token_id``."""
-        return token_id in self._tokens
+    def reserved_symbol(self, tokenizer: Tokenizer) -> str | None:
+        """The reserved symbol some label's encoding holds, as for
+        :func:`build_trie`'s error, found in one pass over the slot tokens;
+        None if no label holds one."""
+        return _held_symbol(self._tokens, tokenizer)
 
     def _walk(self, ids: Sequence[int]) -> int:
         node = _ROOT
@@ -170,18 +172,19 @@ def build_trie(labels: Iterable[str], tokenizer: Tokenizer) -> ConstraintTrie:
 
     Duplicate labels are harmless; an empty label is an error because the
     empty sequence must never be a completion, and so is a label whose
-    encoding holds end-of-sequence, which always ends a hypothesis.
+    encoding holds a reserved symbol: end-of-sequence always ends a
+    hypothesis, and a marker inside a label breaks the parse of its target.
     """
     encodings = set()
-    eos = tokenizer.eos_id
+    reserved_ids = frozenset(map(tokenizer.special_id, SPECIAL_TOKENS))
     for label in labels:
         if not label:
             raise TrieBuildError("empty label")
         ids = tuple(tokenizer.encode(label))
         if not ids:
             raise TrieBuildError(f"label {label!r} encodes to no tokens")
-        if eos in ids:
-            raise TrieBuildError(f"label {label!r} holds end-of-sequence (id {eos})")
+        if not reserved_ids.isdisjoint(ids):
+            raise TrieBuildError(f"label {label!r} holds {_held_symbol(ids, tokenizer)}")
         encodings.add(ids)
     ordered = sorted(encodings)
     first = array("I", [0])
@@ -205,6 +208,17 @@ def build_trie(labels: Iterable[str], tokenizer: Tokenizer) -> ConstraintTrie:
             lo = end
         first.append(len(tokens))
     return ConstraintTrie(first, tokens, terminal)
+
+
+def _held_symbol(ids: Iterable[int], tokenizer: Tokenizer) -> str | None:
+    """``reserved symbol '<rel>' (id 258)`` for the lowest reserved id that
+    ``ids`` holds, in one pass over ``ids``; None if it holds none."""
+    reserved = {tokenizer.special_id(symbol): symbol for symbol in SPECIAL_TOKENS}
+    held = reserved.keys() & ids
+    if not held:
+        return None
+    token_id = min(held)
+    return f"reserved symbol {reserved[token_id]!r} (id {token_id})"
 
 
 def year_labels(first: int = 1, last: int = 2100) -> list[str]:

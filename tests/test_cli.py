@@ -15,6 +15,7 @@ from factgen.kb import Triple, load_kb
 from factgen.pipeline import HypothesisTemplates
 from factgen.records import load_dataset, write_jsonl
 from factgen.scorers import ExternalScorerClient
+from factgen.tokenizers import ByteTokenizer
 from factgen.trie import ConstraintTrie
 
 from .corpus import (
@@ -357,8 +358,9 @@ def stage_error(capsys) -> dict:
         ("filter", ["--threshold", "nan"], "--threshold must lie in [0, 1], got nan"),
         ("filter", ["--threshold", "5"], "--threshold must lie in [0, 1], got 5.0"),
         ("negatives", ["--neg-fraction", "1"], "--neg-fraction must lie in [0, 1), got 1.0"),
+        ("split", ["--split=-10,60,50"], "--split parts must not be negative, got '-10,60,50'"),
     ],
-    ids=["threshold-nan", "threshold-5", "neg-fraction-1"],
+    ids=["threshold-nan", "threshold-5", "neg-fraction-1", "split-negative"],
 )
 def test_bad_bound_fails_before_input_is_read(
     kb_paths, tmp_path, capsys, stage, flags, message, input_exists
@@ -366,10 +368,11 @@ def test_bad_bound_fails_before_input_is_read(
     data = tmp_path / "empty.jsonl"
     if input_exists:
         data.write_text("")
-    out = tmp_path / "out.jsonl"
-    code = cli.main(
-        [stage, "--input", str(data), *kb_flags(kb_paths), *flags, "--out", str(out)]
-    )
+    if stage == "split":  # no KB, and a directory for its three outputs
+        outputs = ["--out-dir", str(tmp_path / "splits")]
+    else:
+        outputs = [*kb_flags(kb_paths), "--out", str(tmp_path / "out.jsonl")]
+    code = cli.main([stage, "--input", str(data), *flags, *outputs])
     assert code == 1
     assert stage_error(capsys) == {"stage": stage, "error": f"ValueError: {message}"}
     assert sorted(tmp_path.iterdir()) == ([data] if input_exists else [])
@@ -501,25 +504,31 @@ def test_decode_reads_the_kb_only_to_build_a_missing_trie(tmp_path, mode):
 
 
 def test_decode_rejects_a_trie_cache_that_holds_eos(tmp_path, capsys):
-    # The cache build-trie wrote for the title "A</s>B" before the KB
-    # rejected such titles: the chain A, EOS (id 256), B.
+    # The caches build-trie wrote for the titles "A</s>B" and "A <rel> B"
+    # before the KB rejected such titles: the chains A, EOS (id 256), B and
+    # A, space, <rel> (id 258), space, B.
     cache = tmp_path / "entity.trie"
-    chain = ConstraintTrie(
-        array("I", [0, 1, 2, 3, 3]), array("I", [65, 256, 66]), bytearray([0, 0, 0, 1])
-    )
-    chain.save(str(cache))
     data = tmp_path / "instances.jsonl"
     write_jsonl(str(data), [{"id": "a", "input": "x", "target": ""}])
     out = tmp_path / "pred.jsonl"
     argv = ["decode", "--input", str(data), "--entity-trie", str(cache),
             "--relation-trie", str(cache), "--tail-trie", str(cache), "--out", str(out)]
-    assert cli.main(argv) == 1
-    assert stage_error(capsys) == {
-        "stage": "decode",
-        "error": f"TrieCacheError: {cache}: a label holds end-of-sequence (id 256): "
-        "rerun build-trie to rewrite it",
-    }
-    assert not out.exists()
+    for ids, held in [
+        ([65, 256, 66], "reserved symbol '</s>' (id 256)"),
+        ([65, 32, 258, 32, 66], "reserved symbol '<rel>' (id 258)"),
+    ]:
+        chain = ConstraintTrie(  # one node per token after the root
+            array("I", [*range(len(ids) + 1), len(ids)]), array("I", ids),
+            bytearray([0] * len(ids) + [1]),
+        )
+        chain.save(str(cache))
+        assert cli.main(argv) == 1
+        assert stage_error(capsys) == {
+            "stage": "decode",
+            "error": f"TrieCacheError: {cache}: a label holds {held}: "
+            "rerun build-trie to rewrite it",
+        }
+        assert not out.exists()
 
 
 def test_decode_names_the_kb_flags_a_trie_build_lacks(kb_paths, tmp_path, capsys):
@@ -948,25 +957,29 @@ def test_bad_entail_in_mid_window_fails_filter_and_closes_the_client(
 
 
 @pytest.mark.parametrize(
-    "row, message",
+    "row, error, message",
     [
-        (["P36", ["{head} x {tail}"]],
-         "template row must be an object, got ['P36', ['{head} x {tail}']]"),
-        ({"pid": "P36", "templates": "{head} x {tail}"},
+        (["P36", ["{head} x {tail}"]], "RecordError", "record is not an object"),
+        ({"pid": "P36", "templates": "{head} x {tail}"}, "TemplateError",
          "templates must be a list of str, got '{head} x {tail}'"),
-        ({"pid": "P36", "templates": ["{head} x {tail}", 7]},
+        ({"pid": "P36", "templates": ["{head} x {tail}", 7]}, "TemplateError",
          "templates must be a list of str, got ['{head} x {tail}', 7]"),
-        ({"pid": 36, "templates": ["{head} x {tail}"]}, "pid must be str, got 36"),
-        ({"templates": ["{head} x {tail}"]}, "'pid'"),
-        ({"pid": "P36", "templates": []}, "relation P36 has an empty template list"),
-        ({"pid": "P36", "templates": ["{head} only"]},
+        ({"pid": 36, "templates": ["{head} x {tail}"]}, "TemplateError",
+         "pid must be str, got 36"),
+        ({"templates": ["{head} x {tail}"]}, "TemplateError", "template row lacks 'pid'"),
+        ({"pid": "P36", "templates": []}, "TemplateError",
+         "relation P36 has an empty template list"),
+        ({"pid": "P36", "templates": ["{head} only"]}, "TemplateError",
          "template for P36 must contain {head} and {tail}: '{head} only'"),
-        ({"pid": "P17", "templates": ["{head} lies in {tail}."]}, "duplicate pid 'P17'"),
+        ({"pid": "P17", "templates": ["{head} lies in {tail}."]}, "TemplateError",
+         "duplicate pid 'P17'"),
     ],
     ids=["array-row", "string-templates", "int-template", "int-pid", "no-pid",
          "empty-templates", "no-tail-placeholder", "repeated-pid"],
 )
-def test_bad_template_row_fails_filter_with_its_line(kb_paths, tmp_path, capsys, row, message):
+def test_bad_template_row_fails_filter_with_its_line(
+    kb_paths, tmp_path, capsys, row, error, message
+):
     templates = tmp_path / "templates.jsonl"
     good = {"pid": "P17", "templates": ["{head} is in {tail}."]}
     templates.write_text(json.dumps(good) + "\n" + json.dumps(row) + "\n", encoding="utf-8")
@@ -979,7 +992,7 @@ def test_bad_template_row_fails_filter_with_its_line(kb_paths, tmp_path, capsys,
     )
     assert code == 1
     assert stage_error(capsys) == {
-        "stage": "filter", "error": f"TemplateError: {templates}:2: {message}",
+        "stage": "filter", "error": f"{error}: {templates}:2: {message}",
     }
     assert not out.exists()
 
@@ -1165,3 +1178,20 @@ def test_decode_and_split_reject_a_record_without_id(kb_paths, tmp_path, capsys,
         "stage": stage,
         "error": f"RecordError: {data}:2: record lacks 'id'",
     }
+
+
+def test_decode_encodes_gold_targets_only_for_the_mock_scorer(tmp_path, monkeypatch):
+    encoded = []
+    encode = ByteTokenizer.encode
+    monkeypatch.setattr(
+        ByteTokenizer, "encode", lambda self, text: encoded.append(text) or encode(self, text)
+    )
+    data = tmp_path / "instances.jsonl"
+    write_jsonl(str(data), [{"id": "x", "input": "text", "target": "gold"}])
+    argv = ["decode", "--input", str(data), "--mode", "unconstrained",
+            "--max-len", "8", "--out", str(tmp_path / "pred.jsonl")]
+    stub = Path(__file__).parent / "stub_scorer.py"
+    assert cli.main([*argv, "--scorer", f"exec:{sys.executable} {stub}"]) == 0
+    assert "gold" not in encoded
+    assert cli.main(argv) == 0
+    assert "gold" in encoded

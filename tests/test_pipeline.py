@@ -17,11 +17,11 @@ from factgen.pipeline import (
     entailment_filter,
     extract_ds_triples,
     ingest_sentences,
-    map_date_to_year,
     negative_category,
     sample_negatives,
     split_dataset,
 )
+from factgen.records import map_date_to_year
 from factgen.scorers import TableNliScorer
 
 

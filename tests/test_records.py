@@ -12,7 +12,9 @@ from factgen.records import (
     load_dataset,
     load_input_sentences,
     load_predictions,
+    read_jsonl,
     sentence_from_input_record,
+    unique_instances,
     write_jsonl,
 )
 
@@ -46,7 +48,7 @@ def test_unparseable_date_becomes_unlinked():
     assert sentence.spans[0].link is None
 
 
-def test_input_spans_are_sorted_by_offset():
+def test_input_spans_are_sorted_by_offset(tmp_path):
     row = {
         "id": "s3",
         "text": "Rome and Paris are both capitals of old countries.",
@@ -57,6 +59,11 @@ def test_input_spans_are_sorted_by_offset():
     }
     sentence = sentence_from_input_record(row)
     assert [s.surface for s in sentence.spans] == ["Rome", "Paris"]
+    # A dataset record's spans follow the same rule.
+    path = tmp_path / "records.jsonl"
+    write_jsonl(str(path), [dict(row, triples=[])])
+    assert load_input_sentences(str(path)) == [sentence]
+    assert load_dataset(str(path)) == [(sentence, [])]
 
 
 def test_surface_mismatch_is_a_record_error():
@@ -122,6 +129,10 @@ def _triple(**fields):
     return {"id": "t", "text": "ab", "triples": [triple]}
 
 
+def _load_instances(path: str) -> list[tuple[str, str]]:
+    return unique_instances(path, read_jsonl(path))
+
+
 @pytest.mark.parametrize(
     "loader, row, message",
     [
@@ -149,11 +160,13 @@ def _triple(**fields):
         (load_dataset, _triple(tail=["Q2"]), "tail must be str, got ['Q2']"),
         (load_predictions, {"id": "p", "output": None}, "output must be str, got None"),
         (load_predictions, {"id": "p", "output": 5}, "output must be str, got 5"),
+        (_load_instances, {"id": "i", "target": 5}, "target must be str, got 5"),
+        (_load_instances, {"id": "i", "target_ie": None}, "target_ie must be str, got None"),
     ],
     ids=[
         "text", "start", "end", "surface", "link", "offsets", "span", "dataset-text",
         "dataset-start", "dataset-surface", "dataset-link", "dataset-head", "dataset-pid",
-        "dataset-tail", "output-null", "output-int",
+        "dataset-tail", "output-null", "output-int", "instance-target", "instance-target-ie",
     ],
 )
 def test_wrong_typed_field_is_a_record_error_with_its_line(tmp_path, loader, row, message):
@@ -179,9 +192,9 @@ def _with_triples(*triples):
     return {"id": "t", "text": TEXT, "spans": [ROME, PARIS], "triples": list(triples)}
 
 
-# Every RecordError a span or a triple can raise, with its exact text. Input
-# spans are sorted by start before the sentence is built; dataset spans are
-# taken in the order written.
+# Every RecordError a record, a span or a triple can raise, with its exact
+# text. Both loaders read a record's id, text and spans by one rule, with
+# the spans sorted by start before the sentence is built.
 SPAN_AND_TRIPLE_ERRORS = [
     (BOTH_LOADERS, _with_spans(5), "span must be an object, got 5"),
     (BOTH_LOADERS, _with_spans([0, 4]), "span must be an object, got [0, 4]"),
@@ -203,13 +216,14 @@ SPAN_AND_TRIPLE_ERRORS = [
      "span surface 'Roma' does not match text slice 'Rome'"),
     (BOTH_LOADERS, _with_spans(ROME, dict(ROME, start=2, surface="me")),
      "span [2, 4) overlaps or is out of order"),
-    ((load_dataset,), _with_spans(PARIS, ROME), "span [0, 4) overlaps or is out of order"),
+    ((load_dataset,), _with_spans(dict(ROME, start=2, surface="me"), ROME),
+     "span [2, 4) overlaps or is out of order"),
     ((load_dataset,), _with_triples(5), "triple must be an object, got 5"),
     ((load_dataset,), _with_triples(["Q220", "P1", "Q90"]),
      "triple must be an object, got ['Q220', 'P1', 'Q90']"),
-    ((load_dataset,), _with_triples({"pid": "P1", "tail": "Q90"}), "'head'"),
-    ((load_dataset,), _with_triples({"head": "Q220", "tail": "Q90"}), "'pid'"),
-    ((load_dataset,), _with_triples({"head": "Q220", "pid": "P1"}), "'tail'"),
+    ((load_dataset,), _with_triples({"pid": "P1", "tail": "Q90"}), "triple lacks 'head'"),
+    ((load_dataset,), _with_triples({"head": "Q220", "tail": "Q90"}), "triple lacks 'pid'"),
+    ((load_dataset,), _with_triples({"head": "Q220", "pid": "P1"}), "triple lacks 'tail'"),
     ((load_dataset,), _with_triples({"head": None, "pid": "P1", "tail": "Q90"}),
      "head must be str, got None"),
     ((load_dataset,), _with_triples({"head": "Q220", "pid": 1, "tail": "Q90"}),
@@ -218,10 +232,8 @@ SPAN_AND_TRIPLE_ERRORS = [
      "tail must be str, got 1776"),
     ((load_dataset,), dict(_with_triples(), triples=5), "triples must be list, got 5"),
     ((load_dataset,), dict(_with_triples(), spans=5), "spans must be list, got 5"),
-    ((load_dataset,), {"id": "t", "spans": []}, "'text'"),
-    ((load_dataset,), {"text": TEXT}, "'id'"),
-    ((load_input_sentences,), {"id": "s"}, "record lacks 'text'"),
-    ((load_input_sentences,), {"text": TEXT}, "record lacks 'id'"),
+    (BOTH_LOADERS, {"id": "s", "spans": []}, "record lacks 'text'"),
+    (BOTH_LOADERS, {"text": TEXT}, "record lacks 'id'"),
     ((load_input_sentences,), dict(_with_spans(), spans=5), "spans must be list, got 5"),
     (BOTH_LOADERS, _with_spans(dict(ROME, link=None, date=True)), "date must be str, got True"),
     (BOTH_LOADERS, _with_spans(dict(ROME, link=None, date=476)), "date must be str, got 476"),

@@ -43,9 +43,15 @@ def test_empty_label_is_an_error(tok):
 
 
 def test_a_label_holding_eos_is_an_error(tok):
-    # EOS always ends a hypothesis, so no label may hold it.
-    with pytest.raises(TrieBuildError, match=r"^label 'A</s>B' holds end-of-sequence \(id 256\)$"):
-        build_trie(["ok", "A</s>B"], tok)
+    # EOS always ends a hypothesis, and a marker inside a label breaks the
+    # parse of its target, so no label may hold any reserved symbol.
+    for label, message in [
+        ("A</s>B", "label 'A</s>B' holds reserved symbol '</s>' (id 256)"),
+        ("A <rel> B", "label 'A <rel> B' holds reserved symbol '<rel>' (id 258)"),
+    ]:
+        with pytest.raises(TrieBuildError) as raised:
+            build_trie(["ok", label], tok)
+        assert str(raised.value) == message
 
 
 def test_duplicate_labels_are_idempotent(tok):

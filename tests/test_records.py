@@ -216,8 +216,7 @@ SPAN_AND_TRIPLE_ERRORS = [
      "span surface 'Roma' does not match text slice 'Rome'"),
     (BOTH_LOADERS, _with_spans(ROME, dict(ROME, start=2, surface="me")),
      "span [2, 4) overlaps or is out of order"),
-    ((load_dataset,), _with_spans(dict(ROME, start=2, surface="me"), ROME),
-     "span [2, 4) overlaps or is out of order"),
+    ((load_dataset,), _with_spans(ROME, ROME), "span [0, 4) overlaps or is out of order"),
     ((load_dataset,), _with_triples(5), "triple must be an object, got 5"),
     ((load_dataset,), _with_triples(["Q220", "P1", "Q90"]),
      "triple must be an object, got ['Q220', 'P1', 'Q90']"),
@@ -237,6 +236,8 @@ SPAN_AND_TRIPLE_ERRORS = [
     ((load_input_sentences,), dict(_with_spans(), spans=5), "spans must be list, got 5"),
     (BOTH_LOADERS, _with_spans(dict(ROME, link=None, date=True)), "date must be str, got True"),
     (BOTH_LOADERS, _with_spans(dict(ROME, link=None, date=476)), "date must be str, got 476"),
+    (BOTH_LOADERS, _with_spans(dict(ROME, start=2, surface="me"), ROME),
+     "span [2, 4) overlaps or is out of order"),
 ]
 
 

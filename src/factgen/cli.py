@@ -360,6 +360,10 @@ def _load_tries(args: argparse.Namespace, tokenizer: ByteTokenizer) -> DecodingT
 
 
 def cmd_decode(args: argparse.Namespace) -> None:
+    bounds = {"--beam": args.beam, "--max-len": args.max_len, "--ngram-order": args.ngram_order}
+    for flag, value in bounds.items():
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     from .decode import beam_search
     from .scorers import ExternalLmScorer, NgramScorer
 

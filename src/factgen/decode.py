@@ -67,7 +67,6 @@ _TRIE_PHASES = (Phase.IN_SUBJECT, Phase.IN_RELATION, Phase.IN_OBJECT)
 class _GenState(NamedTuple):
     phase: Phase = Phase.START
     node: int = 0
-    triples_emitted: int = 0
 
 
 class GenState(_GenState):
@@ -79,10 +78,14 @@ class GenState(_GenState):
 
     __slots__ = ()
 
-    def __new__(cls, phase: Phase = Phase.START, node: int = 0, triples_emitted: int = 0):
+    def __new__(cls, phase: Phase = Phase.START, node: int = 0):
         if node and phase not in _TRIE_PHASES:
             raise ValueError(f"phase Phase.{phase.name} cannot carry a trie node")
-        return tuple.__new__(cls, (phase, node, triples_emitted))
+        return tuple.__new__(cls, (phase, node))
+
+
+# The state of every finished hypothesis.
+_DONE = GenState(Phase.DONE)
 
 
 class DecodingTries(NamedTuple):
@@ -168,22 +171,19 @@ class GenStateMachine:
     def advance(self, state: GenState, token: int) -> GenState:
         """Deterministic transition; a disallowed token is an error."""
         phase = state.phase
-        emitted = state.triples_emitted
         label = self._labels[phase]
         if label is not None:
             trie, close, after_close = label
             if token == close and trie.is_terminal(state.node):
-                if after_close is Phase.AFTER_TRIPLE:
-                    emitted += 1
-                return GenState(after_close, 0, emitted)
+                return GenState(after_close)
             node = trie.child(state.node, token)
             if node < 0:
                 raise _violation(state, token)
-            return GenState(phase, node, emitted)
+            return GenState(phase, node)
         allowed, moves = self._fixed[phase]
         after = moves.get(token)
         if after is not None:
-            return GenState(after, 0, emitted)
+            return GenState(after)
         if token not in allowed:
             raise _violation(state, token)
         return state
@@ -237,7 +237,6 @@ def beam_search(
         initial_phase = Phase.UNCONSTRAINED_PREFIX
     eos = tokenizer.eos_id
     all_ids = range(tokenizer.vocab_size)
-    done = Phase.DONE
 
     live = [Hypothesis((), 0.0, GenState(phase=initial_phase))]
     finished: list[Hypothesis] = []
@@ -268,10 +267,7 @@ def beam_search(
                         "log-probs must be finite or -inf, and <= 0"
                     )
                 if token == eos:
-                    finished.append(Hypothesis(
-                        tokens + (token,), base + logprob,
-                        GenState(done, 0, state.triples_emitted),
-                    ))
+                    finished.append(Hypothesis(tokens + (token,), base + logprob, _DONE))
                 else:
                     push((-(base + logprob), tokens, token, index))
         if len(candidates) > _SORT_LIMIT:

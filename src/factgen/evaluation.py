@@ -38,20 +38,7 @@ class EvalReport(NamedTuple):
     counts: Counts
 
     def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "accuracy_negative": self.accuracy_negative,
-            "empty_positive_rate": self.empty_positive_rate,
-            "counts": {
-                "tp": self.counts.tp,
-                "fp": self.counts.fp,
-                "fn": self.counts.fn,
-                "n_pos": self.counts.n_pos,
-                "n_neg": self.counts.n_neg,
-            },
-        }
+        return {**self._asdict(), "counts": self.counts._asdict()}
 
     def format_table(self) -> str:
         rows = [

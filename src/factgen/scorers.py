@@ -13,9 +13,11 @@ share one exchange and close path. Requests are
 ``{"logprobs": [floats]}`` aligned to the candidates, and
 ``{"type": "nli", "premise": str, "hypothesis": str}`` answered by
 ``{"entail": p}``. One request per line; responses come back in request
-order. The client writes every request of a batch while it reads the
-answers, so neither side waits on a full socket buffer whatever the size
-of the batch.
+order, and nothing else is sent: a line beyond an exchange's answers is a
+protocol error. The client writes every request of a batch while it reads
+the answers, so neither side waits on a full socket buffer whatever the
+size of the batch. Closing a client ends the scorer's input; an ``exec:``
+child then has ``CHILD_EXIT_TIMEOUT`` seconds to exit before it is killed.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import shlex
 import socket
 import subprocess
 import threading
-import time
 from collections import Counter
 from typing import Protocol, Sequence
 
@@ -146,7 +147,8 @@ class ExternalScorerClient:
     The scorer is a connected socket, with ``proc`` the child process on
     its far end for ``exec:``. Exchanges are serialized under an internal
     lock: an exchange sends its requests and reads one response per
-    request, relying on the protocol's in-order response guarantee.
+    request, relying on the protocol's in-order response guarantee. No
+    bytes are kept from one exchange to the next.
     """
 
     def __init__(self, sock: socket.socket, proc: subprocess.Popen | None = None) -> None:
@@ -154,9 +156,6 @@ class ExternalScorerClient:
         self._sock = sock
         self._proc = proc
         self._lock = threading.Lock()
-        # Bytes after the last response line an exchange wanted; the next
-        # exchange reads them first.
-        self._unread = b""
 
     @classmethod
     def from_spec(cls, spec: str) -> "ExternalScorerClient":
@@ -188,14 +187,17 @@ class ExternalScorerClient:
         blocks writing a response while requests are still being sent: no
         batch can deadlock, whatever the socket buffer sizes. A bad response
         raises only after the whole batch has been read, so the next
-        exchange gets its own answers.
+        exchange gets its own answers. Bytes read after the last answer are
+        a stray line, also raised. The protocol has no request ids, so a
+        stray line that arrives after the exchange has returned cannot be
+        told from the next exchange's first answer.
         """
         sock = self._sock
         wanted = len(payloads)
         pending = memoryview("".join([json.dumps(p) + "\n" for p in payloads]).encode("utf-8"))
         with self._lock:
-            received = bytearray(self._unread)
-            lines = received.count(b"\n")
+            received = bytearray()
+            lines = 0
             poller = select.poll()
             poller.register(sock, select.POLLIN | select.POLLOUT)
             events = select.POLLOUT  # send before the first wait
@@ -225,7 +227,12 @@ class ExternalScorerClient:
                 if not pending and lines >= wanted:
                     break
                 [(_, events)] = poller.poll()
-            *answers, self._unread = bytes(received).split(b"\n", wanted)
+        *answers, extra = bytes(received).split(b"\n", wanted)
+        if extra:
+            raise ScorerProtocolError(
+                f"scorer sent more than {wanted} response line(s) for {wanted} "
+                f"{payloads[0]['type']} request(s)"
+            )
         return [_parse_response(line + b"\n") for line in answers]
 
     def request(self, payload: dict) -> dict:
@@ -256,8 +263,9 @@ class ExternalScorerClient:
         return [_entail_value(response) for response in self._exchange(requests)]
 
     def close(self) -> None:
-        """End the scorer's input, wait for an ``exec:`` child to exit (else
-        kill it and raise), and close the stream."""
+        """End the scorer's input, wait up to ``CHILD_EXIT_TIMEOUT`` seconds
+        for an ``exec:`` child to exit (else kill it and raise), and close
+        the stream."""
         try:
             self._sock.shutdown(socket.SHUT_WR)
         except OSError as exc:
@@ -267,41 +275,16 @@ class ExternalScorerClient:
         finally:
             try:
                 if self._proc is not None:
-                    self._wait_for_child()
+                    self._proc.wait(timeout=CHILD_EXIT_TIMEOUT)
+            except subprocess.TimeoutExpired:
+                self._proc.kill()
+                self._proc.wait()
+                raise ScorerProtocolError(
+                    f"scorer {shlex.join(self._proc.args)!r} still ran "
+                    f"{CHILD_EXIT_TIMEOUT:g} s after its input ended; killed it"
+                ) from None
             finally:
                 self._sock.close()
-
-    def _wait_for_child(self) -> None:
-        """Wait for the child's exit, which ends the stream, then reap it.
-
-        ``Popen.wait(timeout=...)`` sleeps in doubling steps and so notices
-        an exit up to twice as late as it happened; the end of the stream
-        wakes ``poll`` at once. The reap is bounded by the same deadline,
-        since a child may close its end of the stream and keep running.
-        """
-        deadline = time.monotonic() + CHILD_EXIT_TIMEOUT
-        poller = select.poll()
-        poller.register(self._sock, select.POLLIN)
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or not poller.poll(math.ceil(remaining * 1000)):
-                break
-            try:
-                if not self._sock.recv(1 << 16):  # anything else is unread output
-                    break
-            except BlockingIOError:
-                pass
-            except ConnectionResetError:
-                break
-        try:
-            self._proc.wait(timeout=max(deadline - time.monotonic(), 0.0))
-        except subprocess.TimeoutExpired:
-            self._proc.kill()
-            self._proc.wait()
-            raise ScorerProtocolError(
-                f"scorer {shlex.join(self._proc.args)!r} still ran "
-                f"{CHILD_EXIT_TIMEOUT:g} s after its input ended; killed it"
-            ) from None
 
     def __enter__(self) -> "ExternalScorerClient":
         return self

@@ -359,8 +359,13 @@ def stage_error(capsys) -> dict:
         ("filter", ["--threshold", "5"], "--threshold must lie in [0, 1], got 5.0"),
         ("negatives", ["--neg-fraction", "1"], "--neg-fraction must lie in [0, 1), got 1.0"),
         ("split", ["--split=-10,60,50"], "--split parts must not be negative, got '-10,60,50'"),
+        ("decode", ["--beam", "0"], "--beam must be >= 1, got 0"),
+        ("decode", ["--beam", "-3"], "--beam must be >= 1, got -3"),
+        ("decode", ["--max-len", "0"], "--max-len must be >= 1, got 0"),
+        ("decode", ["--ngram-order", "0"], "--ngram-order must be >= 1, got 0"),
     ],
-    ids=["threshold-nan", "threshold-5", "neg-fraction-1", "split-negative"],
+    ids=["threshold-nan", "threshold-5", "neg-fraction-1", "split-negative", "beam-0",
+         "beam-minus-3", "max-len-0", "ngram-order-0"],
 )
 def test_bad_bound_fails_before_input_is_read(
     kb_paths, tmp_path, capsys, stage, flags, message, input_exists

@@ -99,7 +99,6 @@ def test_scripted_full_triple_walk(machine, tok):
     )
     state = walk(machine, tokens)
     assert state.phase is Phase.AFTER_TRIPLE
-    assert state.triples_emitted == 1
     assert machine.allowed_tokens(state) == tuple(sorted({tok.eos_id, tok.special_id("<sub>")}))
     done = machine.advance(state, tok.eos_id)
     assert done.phase is Phase.DONE
@@ -118,13 +117,11 @@ def test_year_tail_is_generable(machine, tok):
         + tok.encode("1776")
         + [tok.special_id("<et>")]
     )
-    assert walk(machine, tokens).triples_emitted == 1
+    assert walk(machine, tokens).phase is Phase.AFTER_TRIPLE
 
 
 def test_start_plus_eos_is_negative_example(machine, tok):
-    state = machine.advance(GenState(), tok.eos_id)
-    assert state.phase is Phase.DONE
-    assert state.triples_emitted == 0
+    assert machine.advance(GenState(), tok.eos_id) == GenState(Phase.DONE)
 
 
 def test_disallowed_token_names_phase_and_token(machine, tok):
@@ -546,7 +543,7 @@ def test_beam_search_equals_full_expansion(
         with pytest.raises(DecodeFailure):
             beam_search(scorer, tok, **args)
         return
-    # Whole hypotheses: tokens, score and state, triples_emitted included.
+    # Whole hypotheses: tokens, score and state.
     assert beam_search(scorer, tok, **args) == expected
 
 

@@ -3,7 +3,9 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import os
 import select
+import signal
 import socket
 import socketserver
 import struct
@@ -350,6 +352,71 @@ def test_scorer_gone_before_the_write_gives_one_error(transport):
     assert client._sock.fileno() == -1
     if transport == "exec":
         assert client._proc.returncode == 0
+
+
+# Writes each answer and then one line no request asked for, in one write.
+STRAY_LINE = '{"logprobs": [0.0, 0.0]}\n'
+STRAY_LINE_STUB = (
+    "import json, sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "from stub_scorer import handle\n"
+    "for line in sys.stdin:\n"
+    f"    sys.stdout.write(json.dumps(handle(line)) + '\\n' + {STRAY_LINE!r})\n"
+    "    sys.stdout.flush()\n"
+)
+
+
+class _StrayLineHandler(socketserver.StreamRequestHandler):
+    def handle(self):
+        for raw in self.rfile:
+            self.wfile.write((json.dumps(stub_response(raw)) + "\n" + STRAY_LINE).encode("utf-8"))
+
+
+@pytest.mark.parametrize("transport", ["exec", "tcp"])
+def test_stray_response_line_is_an_error_not_the_next_answer(tmp_path, transport):
+    with contextlib.ExitStack() as stack:
+        if transport == "exec":
+            stray = tmp_path / "stray_line_scorer.py"
+            stray.write_text(STRAY_LINE_STUB, encoding="utf-8")
+            spec = f"exec:{sys.executable} {stray} {STUB.parent}"
+        else:
+            spec = stack.enter_context(tcp_spec(_StrayLineHandler))
+        # Closed by the stack (before the server stops), which fails the
+        # test if close raises.
+        client = stack.enter_context(ExternalScorerClient.from_spec(spec))
+        for kind in ("lm", "nli", "lm", "lm"):
+            message = f"scorer sent more than 1 response line(s) for 1 {kind} request(s)"
+            with pytest.raises(ScorerProtocolError) as caught:
+                if kind == "lm":
+                    client.lm_logprobs([], [4, 5])
+                else:
+                    client.nli_entail_batch([("p", "h")])
+            assert str(caught.value) == message
+    assert client._sock.fileno() == -1
+    if transport == "exec":
+        assert client._proc.returncode == 0
+
+
+def test_close_waits_for_the_child_not_a_grandchild_holding_the_stream(monkeypatch, tmp_path):
+    # The grandchild keeps the child's end of the socket open for 30 s after
+    # the child has exited, so the stream does not end when the child does.
+    monkeypatch.setattr(scorers, "CHILD_EXIT_TIMEOUT", 5)
+    pidfile = tmp_path / "sleep.pid"
+    client = ExternalScorerClient.from_spec(
+        f"exec:sh -c 'sleep 30 & echo $! > {pidfile}; exec {sys.executable} {STUB}'"
+    )
+    try:
+        assert client.lm_logprobs([], [4]) == [stub_lm_logprob(4)]
+        began = time.monotonic()
+        client.close()
+        assert time.monotonic() - began < 2
+        assert client._proc.returncode == 0
+        assert client._sock.fileno() == -1
+    finally:
+        client._proc.kill()  # no-op once reaped
+        if pidfile.exists():
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(int(pidfile.read_text()), signal.SIGKILL)
 
 
 def test_close_kills_a_child_that_outlives_its_input(monkeypatch):

@@ -50,15 +50,15 @@ VALUES = {
         "ScoredTriple(triple=Triple(head='Q145', relation='P36', tail='Q84'), score=0.5)",
     ),
     "GenState": (
-        GenState(Phase.IN_OBJECT, 7, 2),
-        ("phase", "node", "triples_emitted"),
-        "GenState(phase=<Phase.IN_OBJECT: 3>, node=7, triples_emitted=2)",
+        GenState(Phase.IN_OBJECT, 7),
+        ("phase", "node"),
+        "GenState(phase=<Phase.IN_OBJECT: 3>, node=7)",
     ),
     "Hypothesis": (
         Hypothesis((1, 2), -0.25, GenState()),
         ("tokens", "score", "state"),
         "Hypothesis(tokens=(1, 2), score=-0.25, state=GenState(phase=<Phase.START: 0>, "
-        "node=0, triples_emitted=0))",
+        "node=0))",
     ),
     "DecodingTries": (
         DecodingTries("entity trie", "relation trie"),
@@ -123,7 +123,7 @@ def test_validation_messages_are_unchanged(build, message):
 def test_defaults_and_keywords_build_the_same_value():
     assert MentionSpan(0, 2, "ab") == MentionSpan(start=0, end=2, surface="ab", link=None)
     assert LinkedSentence("ab") == LinkedSentence(text="ab", spans=(), id=None)
-    assert GenState() == GenState(phase=Phase.START, node=0, triples_emitted=0)
+    assert GenState() == GenState(phase=Phase.START, node=0)
     assert DecodingTries("e", "r").tail is None
 
 

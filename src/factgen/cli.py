@@ -359,6 +359,21 @@ def _load_tries(args: argparse.Namespace, tokenizer: ByteTokenizer) -> DecodingT
     return DecodingTries(**tries)
 
 
+class _CountingScorer:
+    """A token scorer that counts the requests it passes on and the
+    candidates they score."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.requests = 0
+        self.candidates = 0
+
+    def score(self, prefix, candidates):
+        self.requests += 1
+        self.candidates += len(candidates)
+        return self.inner.score(prefix, candidates)
+
+
 def cmd_decode(args: argparse.Namespace) -> None:
     bounds = {"--beam": args.beam, "--max-len": args.max_len, "--ngram-order": args.ngram_order}
     for flag, value in bounds.items():
@@ -378,9 +393,11 @@ def cmd_decode(args: argparse.Namespace) -> None:
         return NgramScorer(gold, tokenizer.vocab_size, tokenizer.eos_id, order=args.ngram_order)
 
     rows = []
-    with _open_scorer(args.scorer, mock, ExternalLmScorer) as scorer:
+    empty_outputs = cut_at_max_len = 0
+    with _open_scorer(args.scorer, mock, ExternalLmScorer) as inner:
+        scorer = _CountingScorer(inner)
         for instance_id, _ in instances:
-            hypotheses = beam_search(
+            (best,) = beam_search(
                 scorer,
                 tokenizer,
                 mode=args.mode,
@@ -388,7 +405,9 @@ def cmd_decode(args: argparse.Namespace) -> None:
                 beam_size=args.beam,
                 max_len=args.max_len,
             )
-            output = tokenizer.decode(hypotheses[0].tokens)
+            output = tokenizer.decode(best.tokens)
+            empty_outputs += not output
+            cut_at_max_len += best.tokens[-1] != tokenizer.eos_id
             rows.append(prediction_record(instance_id, output))
     config = {
         "mode": args.mode,
@@ -397,7 +416,14 @@ def cmd_decode(args: argparse.Namespace) -> None:
         "max_len": args.max_len,
         "ngram_order": args.ngram_order,
     }
-    _finish_stage(args, [(args.out, rows)], config, {"predictions": len(rows)})
+    counts = {
+        "predictions": len(rows),
+        "scorer_requests": scorer.requests,
+        "scored_candidates": scorer.candidates,
+        "empty_outputs": empty_outputs,
+        "cut_at_max_len": cut_at_max_len,
+    }
+    _finish_stage(args, [(args.out, rows)], config, counts)
 
 
 def cmd_score(args: argparse.Namespace) -> None:

@@ -16,7 +16,11 @@ targets whose mention-span segment is arbitrary sentence text).
 
 Hypotheses are ranked by cumulative log-probability; no length
 normalization is applied and ties break toward the lexicographically
-smaller token sequence.
+smaller token sequence. The search returns the ``n_best`` best hypotheses
+(one by default) and stops as soon as they are settled: once ``n_best``
+finished hypotheses score strictly above the best live one (Huang, Zhao &
+Ma 2017, "When to Finish? Optimal Beam Search for Neural Text
+Generation", arXiv 1709.09276).
 """
 
 from __future__ import annotations
@@ -210,12 +214,20 @@ def beam_search(
     tries: DecodingTries | None = None,
     beam_size: int = 4,
     max_len: int = 256,
+    n_best: int = 1,
 ) -> list[Hypothesis]:
     """Length-capped beam search over a pluggable token scorer.
 
-    Returns up to ``beam_size`` hypotheses ranked by cumulative
-    log-probability. Hypotheses end with EOS (which contributes its own
-    log-probability; no trie holds it) or are cut at ``max_len`` tokens.
+    Returns up to ``n_best`` (1 <= ``n_best`` <= ``beam_size``) hypotheses
+    ranked by cumulative log-probability. Hypotheses end with EOS (which
+    contributes its own log-probability; no trie holds it) or are cut at
+    ``max_len`` tokens.
+
+    The search stops after a step once ``n_best`` finished hypotheses score
+    strictly above the best live one (Huang, Zhao & Ma 2017, arXiv
+    1709.09276). Log-probs are <= 0, so no live hypothesis can later score
+    higher, and the strict comparison keeps the lexicographic tie rule: the
+    result equals the first ``n_best`` entries of a search run to the end.
 
     A scorer that returns the wrong number of log-probabilities, a NaN or
     a positive value breaks the :class:`TokenScorer` contract and raises
@@ -225,6 +237,8 @@ def beam_search(
         raise ValueError("beam_size must be >= 1")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
+    if not 1 <= n_best <= beam_size:
+        raise ValueError(f"n_best must be in 1..beam_size ({beam_size}), got {n_best}")
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     machine: GenStateMachine | None = None
@@ -285,8 +299,13 @@ def beam_search(
             # Either every candidate finished, or every live hypothesis is
             # stuck mid-label (impossible with dead-end-free tries).
             break
+        # Scores only fall, and live is ranked: a finished hypothesis
+        # strictly above live[0] ranks ahead of any that can still finish.
+        bar = live[0].score
+        if sum(hyp.score > bar for hyp in finished) >= n_best:
+            break
     pool = finished + live
     if not pool:
         raise DecodeFailure("constraints left no completable hypothesis")
     pool.sort(key=_rank)
-    return pool[:beam_size]
+    return pool[:n_best]

@@ -168,7 +168,7 @@ def test_criterion_03_constrained_decoding_validity():
         for beam in (1, 4):
             hypotheses = beam_search(
                 scorer, tokenizer, mode="constrained", tries=tries,
-                beam_size=beam, max_len=40,
+                beam_size=beam, max_len=40, n_best=beam,
             )
             assert hypotheses
             decodes += 1
@@ -247,7 +247,7 @@ def test_criterion_04_beam_search_oracle():
         scorer = FixedDistributionScorer(probs)
         expected = _enumerate_topk(scorer, tiny.vocab_size, tiny.eos_id, 5, k)
         hypotheses = beam_search(
-            scorer, tiny, mode="unconstrained", beam_size=k, max_len=5
+            scorer, tiny, mode="unconstrained", beam_size=k, max_len=5, n_best=k
         )
         assert [(h.tokens, h.score) for h in hypotheses] == expected
         cases += 1

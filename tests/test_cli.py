@@ -712,7 +712,10 @@ PINNED_MANIFESTS = {
         },
         "inputs": ["<run>/targets.jsonl", *KB_INPUTS],
         "outputs": ["<run>/predictions.jsonl"], "seed": None,
-        "record_counts": {"predictions": 16},
+        "record_counts": {
+            "predictions": 16, "scorer_requests": 32, "scored_candidates": 208,
+            "empty_outputs": 16, "cut_at_max_len": 0,
+        },
     },
     "filtered-templated.jsonl.manifest.json": {
         "stage": "filter", "config": {"scorer": "mock", "threshold": 0.7},
@@ -731,7 +734,10 @@ PINNED_MANIFESTS = {
             "<run>/tail.trie",
         ],
         "outputs": ["<run>/predictions-cached.jsonl"], "seed": None,
-        "record_counts": {"predictions": 16},
+        "record_counts": {
+            "predictions": 16, "scorer_requests": 32, "scored_candidates": 208,
+            "empty_outputs": 16, "cut_at_max_len": 0,
+        },
     },
     "report.json.manifest.json": {
         "stage": "score", "config": {},

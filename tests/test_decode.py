@@ -176,6 +176,32 @@ def test_oracle_scorer_recovers_gold_sequence(tries, tok, oracle_scorer_cls):
     assert hyps[0].state.phase is Phase.DONE
 
 
+class CountingScorer:
+    """Wraps a scorer; records (prefix length, candidate count) per call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def score(self, prefix, candidates):
+        self.calls.append((len(prefix), len(candidates)))
+        return self.inner.score(prefix, candidates)
+
+
+@pytest.mark.parametrize("mode", ["constrained", "unconstrained"])
+@pytest.mark.parametrize("beam_size", [1, 4])
+def test_search_stops_once_the_gold_has_finished(tries, tok, oracle_scorer_cls, mode, beam_size):
+    gold = tuple(tok.encode("<sub>Italy<rel>in<obj>India<et>") + [tok.eos_id])
+    scorer = CountingScorer(oracle_scorer_cls(gold))
+    hyps = beam_search(
+        scorer, tok, mode=mode, tries=tries, beam_size=beam_size, max_len=256
+    )
+    assert [hyp.tokens for hyp in hyps] == [gold]
+    # The finished gold scores 0, every live hypothesis far below: no
+    # prefix longer than the gold's own is scored.
+    assert max(length for length, _ in scorer.calls) == len(gold) - 1
+
+
 class PreferenceScorer:
     """Follows one preferred sequence; EOS is painful, everything else mild.
 
@@ -291,7 +317,9 @@ def test_beam_equals_exhaustive_enumeration(probs, k):
         max_len,
         k,
     )
-    hyps = beam_search(scorer, tiny, mode="unconstrained", beam_size=k, max_len=max_len)
+    hyps = beam_search(
+        scorer, tiny, mode="unconstrained", beam_size=k, max_len=max_len, n_best=k
+    )
     assert [(h.tokens, h.score) for h in hyps] == expected
 
 
@@ -316,7 +344,7 @@ def test_constrained_outputs_always_valid_under_fuzz(tries, tok):
         for beam in (1, 4):
             hyps = beam_search(
                 scorer, tok, mode="constrained", tries=tries,
-                beam_size=beam, max_len=40,
+                beam_size=beam, max_len=40, n_best=beam,
             )
             assert hyps
             for hyp in hyps:
@@ -332,9 +360,12 @@ def test_empty_output_when_eos_dominates(tries, tok):
     sub = tok.special_id("<sub>")
     step_one = scorer.score((), sorted((tok.eos_id, sub)))
     assert step_one[0] > step_one[1]  # eos_id < sub, so index 0 is EOS
-    hyps = beam_search(scorer, tok, mode="constrained", tries=tries, beam_size=4)
+    counting = CountingScorer(scorer)
+    hyps = beam_search(counting, tok, mode="constrained", tries=tries, beam_size=4)
     assert hyps[0].tokens == (tok.eos_id,)
     assert tok.decode(hyps[0].tokens) == ""
+    # The empty output beats the one live hypothesis at once: one scorer call.
+    assert counting.calls == [(0, 2)]
 
 
 def test_greedy_agreement_when_argmax_is_legal(tries, tok, oracle_scorer_cls):
@@ -390,6 +421,38 @@ def test_beam_validates_arguments(tok, tries):
         beam_search(scorer, tok, mode="nonsense", tries=tries)
     with pytest.raises(ValueError):
         beam_search(scorer, tok, mode="constrained", tries=None)
+    for n_best in (0, 5):
+        message = rf"n_best must be in 1\.\.beam_size \(4\), got {n_best}$"
+        with pytest.raises(ValueError, match=message):
+            beam_search(scorer, tok, tries=tries, beam_size=4, n_best=n_best)
+
+
+class TieTokenizer(TinyVocabTokenizer):
+    """The tiny vocabulary with EOS as its largest id, 5."""
+
+    eos_id = 5
+
+
+class TieScorer:
+    """At the first step EOS ties token 1; token 1's branch then ends at no
+    cost, as (1, EOS), which ranks before (EOS,) on the tie."""
+
+    def score(self, prefix, candidates):
+        eos = TieTokenizer.eos_id
+        table = {(): {1: -1.0, eos: -1.0}, (1,): {eos: 0.0}}.get(tuple(prefix), {})
+        return [table.get(c, -5.0) for c in candidates]
+
+
+def test_a_tie_with_the_best_live_hypothesis_keeps_searching():
+    tiny = TieTokenizer()
+    args = dict(mode="unconstrained", tries=None, beam_size=4, max_len=6)
+    scorer = CountingScorer(TieScorer())
+    hyps = beam_search(scorer, tiny, **args)
+    # (EOS,) finished at step one with -1.0, equal to the live (1,): not
+    # settled, so the second step finds (1, EOS), also -1.0 and smaller.
+    assert [(hyp.tokens, hyp.score) for hyp in hyps] == [((1, 5), -1.0)]
+    assert hyps == reference_beam_search(TieScorer(), tiny, **args)[:1]
+    assert max(length for length, _ in scorer.calls) == 1
 
 
 # -- the scorer contract ---------------------------------------------------------
@@ -543,8 +606,9 @@ def test_beam_search_equals_full_expansion(
         with pytest.raises(DecodeFailure):
             beam_search(scorer, tok, **args)
         return
-    # Whole hypotheses: tokens, score and state.
-    assert beam_search(scorer, tok, **args) == expected
+    # Whole hypotheses: tokens, score and state, for every count asked for.
+    for n_best in range(1, beam_size + 1):
+        assert beam_search(scorer, tok, **args, n_best=n_best) == expected[:n_best]
 
 
 @pytest.mark.parametrize("mode", ["constrained", "partial"])
@@ -559,17 +623,11 @@ def test_beam_step_advances_only_survivors(monkeypatch, tok, mode, beam_size):
             return _original(self, *args)
 
         monkeypatch.setattr(GenStateMachine, name, counted)
-    inner = HashScorer("quantized", 7, 3, special_first=True)
-    scored = []  # (prefix length, candidates) per scorer call
-
-    class CountingScorer:
-        def score(self, prefix, candidates):
-            scored.append((len(prefix), len(candidates)))
-            return inner.score(prefix, candidates)
-
+    scorer = CountingScorer(HashScorer("quantized", 7, 3, special_first=True))
+    scored = scorer.calls
     beam_search(
-        CountingScorer(), tok, mode=mode, tries=EXACTNESS_TRIES,
-        beam_size=beam_size, max_len=24,
+        scorer, tok, mode=mode, tries=EXACTNESS_TRIES,
+        beam_size=beam_size, max_len=24, n_best=beam_size,
     )
     steps = len({length for length, _ in scored})
     assert steps > 1

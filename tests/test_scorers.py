@@ -111,10 +111,18 @@ class _StubHandler(socketserver.StreamRequestHandler):
             self.wfile.flush()
 
 
+class _TestServer(socketserver.ThreadingTCPServer):
+    """Closing joins no handler thread, so a test that fails while its
+    client is still connected fails at once instead of hanging."""
+
+    daemon_threads = True
+    block_on_close = False
+
+
 @contextlib.contextmanager
 def tcp_spec(handler: type[socketserver.BaseRequestHandler]):
     """The ``tcp:`` spec of a local server answering with ``handler``."""
-    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), handler)
+    server = _TestServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:

@@ -5,8 +5,9 @@ two checkout directories, once per seed, alternating which side runs first
 (the parent first on the first seed). Each run is the benchmark's own, from
 its own checkout, with the interpreter that runs this script. At the end it
 prints one JSON line: per end-to-end metric, each side's per-seed values,
-median and quartiles, the pairs the change won (a tie counts for neither
-side) and a verdict, plus whether every run was correct with 0 failed.
+median and quartiles, each side's IQR as a share of its median, the pairs
+the change won (a tie counts for neither side) and a verdict, plus whether
+every run was correct with 0 failed.
 
 The verdict applies these rules, in this order:
 
@@ -70,23 +71,29 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
+def iqr_share(values: list[float]) -> float:
+    """The interquartile range (IQR) as a share of the median."""
+    q1, median, q3 = quartiles(values)
+    iqr = q3 - q1
+    return iqr / abs(median) if median else (math.inf if iqr else 0.0)
+
+
 def verdict(
     better: str, bound: float, parent: list[float], change: list[float], wins: int
-) -> tuple[str, float]:
-    """The verdict on one metric, and the parent's IQR as a share of its median."""
+) -> str:
+    """The verdict on one metric."""
     q1, median, q3 = quartiles(parent)
     iqr = q3 - q1
-    iqr_share = iqr / abs(median) if median else (math.inf if iqr else 0.0)
     sign = 1 if better == "higher" else -1
     gain = sign * (statistics.median(change) - median)  # > 0: the change is better
     if gain < -bound * abs(median):
-        return "regressed", iqr_share
+        return "regressed"
     if wins * 10 >= 9 * len(parent) and gain > iqr:
-        return "gain", iqr_share
+        return "gain"
     separated = min(sign * v for v in change) > max(sign * v for v in parent)
-    if iqr_share > bound and not separated:
-        return "unresolved", iqr_share
-    return "no_regression", iqr_share
+    if iqr_share(parent) > bound and not separated:
+        return "unresolved"
+    return "no_regression"
 
 
 def summarize(specs: dict[str, dict], runs: dict[str, list[dict]], seeds: list[int]) -> dict:
@@ -105,9 +112,7 @@ def summarize(specs: dict[str, dict], runs: dict[str, list[dict]], seeds: list[i
             (change > parent) if better == "higher" else (change < parent)
             for parent, change in zip(values["parent"], values["change"])
         )
-        outcome, iqr_share = verdict(
-            better, spec["bound"], values["parent"], values["change"], wins
-        )
+        outcome = verdict(better, spec["bound"], values["parent"], values["change"], wins)
         metrics[name] = {
             "better": better,
             "per_seed": {
@@ -121,7 +126,8 @@ def summarize(specs: dict[str, dict], runs: dict[str, list[dict]], seeds: list[i
             "change_wins": wins,
             "pairs": len(seeds),
             "verdict": outcome,
-            "parent_iqr_share": iqr_share,
+            "parent_iqr_share": iqr_share(values["parent"]),
+            "change_iqr_share": iqr_share(values["change"]),
             "bound": spec["bound"],
         }
     return metrics
@@ -153,8 +159,9 @@ def main(argv: list[str] | None = None) -> int:
     metrics = summarize(specs, runs, args.seeds)
     for name, metric in metrics.items():
         print(f"{name}: {metric['verdict']} (parent IQR {metric['parent_iqr_share']:.1%} "
-              f"of its median, bound {metric['bound']:.0%}, change won "
-              f"{metric['change_wins']}/{metric['pairs']})", file=sys.stderr)
+              f"of its median, change IQR {metric['change_iqr_share']:.1%}, bound "
+              f"{metric['bound']:.0%}, change won {metric['change_wins']}/{metric['pairs']})",
+              file=sys.stderr)
     print(json.dumps({
         "workload": args.workload,
         "seeds": args.seeds,

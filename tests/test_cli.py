@@ -317,6 +317,49 @@ def test_decode_with_exec_scorer(kb_paths, tmp_path):
     assert row == {"id": "x", "output": ""}
 
 
+# Scores like stub_scorer.py, except that EOS is the best token at the first
+# request and far the worst at every later one.
+EOS_FIRST_STUB = (
+    "import json, sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "from stub_scorer import handle\n"
+    "eos_logprob = -0.5\n"
+    "for line in sys.stdin:\n"
+    "    request, answer = json.loads(line), handle(line)\n"
+    "    answer['logprobs'] = [eos_logprob if c == 256 else lp\n"
+    "                          for c, lp in zip(request['candidates'], answer['logprobs'])]\n"
+    "    eos_logprob = -5.0\n"
+    "    sys.stdout.write(json.dumps(answer) + '\\n')\n"
+    "    sys.stdout.flush()\n"
+)
+
+
+def test_decode_manifest_counts_the_requests_and_the_kinds_of_output(tmp_path):
+    stub = tmp_path / "eos_first_stub.py"
+    stub.write_text(EOS_FIRST_STUB, encoding="utf-8")
+    data = tmp_path / "instances.jsonl"
+    write_jsonl(str(data), [{"id": "a", "input": "x", "target": ""},
+                            {"id": "b", "input": "y", "target": ""}])
+    out = tmp_path / "pred.jsonl"
+    run_cli(
+        "decode", "--input", data, "--mode", "unconstrained",
+        "--scorer", f"exec:{sys.executable} {stub} {Path(__file__).parent}",
+        "--beam", "1", "--max-len", "2", "--out", out,
+    )
+    # "a": EOS (-0.5) beats the best live token 0 (-1.0) at the first
+    # request, so the search stops there with an empty output. "b": EOS
+    # scores -5, token 0 wins both steps and the output is cut at --max-len.
+    assert read_jsonl(out) == [{"id": "a", "output": ""}, {"id": "b", "output": "\x00\x00"}]
+    counts = json.loads((tmp_path / "pred.jsonl.manifest.json").read_text())["record_counts"]
+    assert counts == {
+        "predictions": 2,
+        "scorer_requests": 3,
+        "scored_candidates": 3 * ByteTokenizer().vocab_size,
+        "empty_outputs": 1,
+        "cut_at_max_len": 1,
+    }
+
+
 def test_decode_rejects_nan_from_exec_scorer(kb_paths, tmp_path):
     nan_scorer = tmp_path / "nan_scorer.py"
     nan_scorer.write_text(

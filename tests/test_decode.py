@@ -244,8 +244,9 @@ def test_out_of_vocabulary_preference(tries, tok):
     assert tok.decode(free[0].tokens).startswith("<sub>Ireland")
 
     constrained = beam_search(
-        scorer, tok, mode="constrained", tries=tries, beam_size=2, max_len=48
+        scorer, tok, mode="constrained", tries=tries, beam_size=2, max_len=48, n_best=2
     )
+    assert len(constrained) == 2
     for hyp in constrained:
         for raw in parse_linearized(tok.decode(hyp.tokens)):
             assert raw.head_label in ENTITIES

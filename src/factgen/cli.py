@@ -246,9 +246,15 @@ def cmd_build_trie(args: argparse.Namespace) -> None:
 
 def cmd_extract(args: argparse.Namespace) -> None:
     kb = _load_kb_from_args(args)
-    sentences = ingest_sentences(load_input_sentences(args.input), args.min_words)
+    read = load_input_sentences(args.input)
+    sentences = ingest_sentences(read, args.min_words)
     rows = [dataset_record(s, extract_ds_triples(s, kb)) for s in sentences]
-    _finish_stage(args, [(args.out, rows)], {"min_words": args.min_words}, {"sentences": len(rows)})
+    counts = {
+        "sentences": len(rows),
+        "ds_triples": sum(len(row["triples"]) for row in rows),
+        "dropped_short": len(read) - len(sentences),
+    }
+    _finish_stage(args, [(args.out, rows)], {"min_words": args.min_words}, counts)
 
 
 def cmd_filter(args: argparse.Namespace) -> None:

@@ -2,11 +2,14 @@
 
 The store is four plain string maps (qid <-> title, pid <-> label) and an
 index of triples by directed (head, tail) pair, so that distant supervision
-can ask "which relations hold between these two entities?" in O(1). A
-caller that only resolves ids and labels (every CLI stage but ``extract``
-and ``build-kb``) loads the store without its triples: then it holds the
-four maps alone, and a pair question raises :class:`KbError` rather than
-answer empty.
+can ask "which relations hold between these two entities?" in O(1). The
+index stores only its pairs: pairs with equal pid sets share one
+``frozenset``, which must therefore never be mutated, and the keys reuse
+the entity map's own qid strings, so a pair costs its dict slot and key
+tuple. A caller that only resolves ids and labels (every CLI stage but
+``extract`` and ``build-kb``) loads the store without its triples: then it
+holds the four maps alone, and a pair question raises :class:`KbError`
+rather than answer empty.
 
 A triple's tail value is an entity qid or a bare year literal (``0``, or
 1-4 digits with no leading zero); year literals are kept as raw strings
@@ -81,8 +84,10 @@ class KbStore:
         self._qid_of: dict[str, str] = {}
         self._label_of: dict[str, str] = {}
         self._pid_of: dict[str, str] = {}
-        # Frozen sets, so relations_between can hand them out uncopied; None
-        # for a store loaded without its triples.
+        # Frozen sets, so relations_between can hand them out uncopied. Pairs
+        # with equal pid sets share one set object, so none may ever be
+        # mutated; keys reuse the entity map's qid strings. None for a store
+        # loaded without its triples.
         self._pairs: dict[tuple[str, str], frozenset[str]] | None = {}
 
     # -- construction ------------------------------------------------------
@@ -127,7 +132,12 @@ class KbStore:
             raise KbIntegrityError(_located(source, lineno, problem))
 
     def _add_triples(self, rows: _Rows, source: str | None) -> None:
-        title_of, label_of, pairs = self._title_of, self._label_of, self._pairs
+        title_of, qid_of, pairs = self._title_of, self._qid_of, self._pairs
+        label_of, pid_of = self._label_of, self._pid_of
+        years: dict[str, str] = {}
+        # One frozenset per distinct pid set, shared by every pair that has it.
+        singles: dict[str, frozenset[str]] = {}
+        shared: dict[frozenset[str], frozenset[str]] = {}
         for lineno, (head, pid, tail) in rows:
             if head not in title_of:
                 problem = f"triple head {head!r} is not a known entity"
@@ -136,7 +146,20 @@ class KbStore:
             elif self.value_label(tail) is None:
                 problem = f"triple tail {tail!r} is neither a known entity nor a year literal"
             else:
-                pairs[head, tail] = pairs.get((head, tail), frozenset()) | {pid}
+                # The store's own strings, not the row's: the entity map's
+                # qids, the relation map's pids and one string per year.
+                tail_title = title_of.get(tail)
+                tail = years.setdefault(tail, tail) if tail_title is None else qid_of[tail_title]
+                key = (qid_of[title_of[head]], tail)
+                single = singles.get(pid)
+                if single is None:
+                    single = singles[pid] = frozenset((pid_of[label_of[pid]],))
+                pids = pairs.get(key)
+                if pids is None:
+                    pairs[key] = single
+                elif pid not in pids:
+                    union = pids | single
+                    pairs[key] = shared.setdefault(union, union)
                 continue
             raise KbIntegrityError(_located(source, lineno, problem))
 

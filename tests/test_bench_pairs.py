@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -66,3 +67,74 @@ def test_a_metric_that_a_run_lacks_gets_no_verdict():
     del runs["change"][3]["metrics"]["m"]
     specs = {"m": {"name": "m", "better": "higher", "bound": 0.25}}
     assert bench_pairs.summarize(specs, runs, SEEDS) == {}
+
+
+WIDE = [60.0, 140.0, 70.0, 130.0, 80.0, 120.0, 90.0, 110.0, 100.0, 100.0]
+
+
+@pytest.fixture
+def checkouts(tmp_path, monkeypatch):
+    """A parent checkout with two workloads of one metric ``m`` (higher is
+    better), a change checkout, and the runs that a fake benchmark made: in
+    ``slow`` the change is 27% slower, in ``wide`` the parent spreads wider
+    than the bound and the two sides overlap."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    benchmark = {
+        "workloads": [{"name": "slow"}, {"name": "wide"}],
+        "end_to_end": [{"name": "m", "better": "higher", "bound": 0.25}],
+    }
+    (parent / "BENCHMARK.json").write_text(json.dumps(benchmark), encoding="utf-8")
+    values = {
+        ("slow", parent): STEADY, ("slow", change): [v * 0.73 for v in STEADY],
+        ("wide", parent): WIDE, ("wide", change): [95.0, 105.0] * 5,
+    }
+    calls = []
+
+    def fake_run_bench(checkout, workload, seed, seconds):
+        calls.append((workload, seed, "parent" if checkout == parent else "change"))
+        value = values[workload, checkout][SEEDS.index(seed)]
+        return {"correct": True, "failed": 0, "exit_code": 0, "metrics": {"m": {"value": value}}}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run_bench)
+    return parent, change, calls
+
+
+def _main(capsys, parent, change, workload):
+    code = bench_pairs.main([str(parent), str(change), "--workload", workload,
+                             "--seeds", "301-310", "--seconds", "1"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_all_runs_every_workload_and_lists_each_regressed_and_unresolved_metric(
+    checkouts, capsys
+):
+    parent, change, calls = checkouts
+    code, result = _main(capsys, parent, change, "all")
+    assert code == 0 and result["all_correct"] is True
+    assert result["workloads"] == ["slow", "wide"]
+    assert {name: m["verdict"] for name, m in result["metrics"].items()} == {
+        "slow/m": "regressed", "wide/m": "unresolved",
+    }
+    assert result["regressed"] == ["slow/m"]
+    assert result["unresolved"] == ["wide/m"]
+    # Each seed runs every workload, the sides alternating which goes first.
+    assert calls[:8] == [
+        ("slow", 301, "parent"), ("slow", 301, "change"),
+        ("wide", 301, "parent"), ("wide", 301, "change"),
+        ("slow", 302, "change"), ("slow", 302, "parent"),
+        ("wide", 302, "change"), ("wide", 302, "parent"),
+    ]
+    assert len(calls) == 40
+
+
+def test_a_comma_list_runs_the_named_workloads_only(checkouts, capsys):
+    parent, change, calls = checkouts
+    _code, result = _main(capsys, parent, change, "wide")
+    assert {workload for workload, _, _ in calls} == {"wide"}
+    assert (result["regressed"], result["unresolved"]) == ([], ["wide/m"])
+    _code, result = _main(capsys, parent, change, "wide,slow")
+    assert result["workloads"] == ["wide", "slow"]
+    assert sorted(result["metrics"]) == ["slow/m", "wide/m"]
+

@@ -716,7 +716,7 @@ PINNED_MANIFESTS = {
         "stage": "extract", "config": {"min_words": 10},
         "inputs": ["<run>/sentences.jsonl", *KB_INPUTS],
         "outputs": ["<run>/extracted.jsonl"], "seed": None,
-        "record_counts": {"sentences": 20},
+        "record_counts": {"sentences": 20, "ds_triples": 14, "dropped_short": 0},
     },
     "filtered.jsonl.manifest.json": {
         "stage": "filter", "config": {"scorer": "mock", "threshold": 0.7},
@@ -820,6 +820,24 @@ def test_manifest_contents_are_pinned(kb_paths, manifest_run, name):
     text = (manifest_run / name).read_text(encoding="utf-8")
     text = text.replace(str(manifest_run), "<run>").replace(kb_dir, "<kb>")
     assert json.loads(text) == PINNED_MANIFESTS[name]
+
+
+def test_extract_manifest_counts_the_triples_and_the_short_sentences(
+    kb_paths, manifest_run, tmp_path
+):
+    # At 14 words, 13 of the 20 micro sentences are too short; the seven
+    # kept hold 6 of the 14 triples that the default floor finds.
+    out = tmp_path / "ex.jsonl"
+    run_cli("extract", "--input", manifest_run / "sentences.jsonl", *kb_flags(kb_paths),
+            "--min-words", "14", "--out", out)
+    counts = json.loads((tmp_path / "ex.jsonl.manifest.json").read_text())["record_counts"]
+    assert counts == {"sentences": 7, "ds_triples": 6, "dropped_short": 13}
+    # Oracle: the same sentences' triples in the run at the default floor.
+    rows = read_jsonl(out)
+    by_id = {row["id"]: row for row in read_jsonl(manifest_run / "extracted.jsonl")}
+    assert [row["triples"] for row in rows] == [by_id[row["id"]]["triples"] for row in rows]
+    assert sum(len(row["triples"]) for row in rows) == counts["ds_triples"]
+    assert len(by_id) - len(rows) == counts["dropped_short"]
 
 
 # SHA-256 of the micro pipeline's dataset and of its targets in each mode,

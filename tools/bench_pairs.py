@@ -1,13 +1,15 @@
 """Alternating benchmark pairs: a parent checkout against a changed one.
 
 Runs ``python3 bench/run.py --workload W --seed S --seconds T`` in each of
-two checkout directories, once per seed, alternating which side runs first
-(the parent first on the first seed). Each run is the benchmark's own, from
-its own checkout, with the interpreter that runs this script. At the end it
-prints one JSON line: per end-to-end metric, each side's per-seed values,
-median and quartiles, each side's IQR as a share of its median, the pairs
-the change won (a tie counts for neither side) and a verdict, plus whether
-every run was correct with 0 failed.
+two checkout directories, once per seed and workload, alternating which
+side runs first (the parent first on the first seed). Each run is the
+benchmark's own, from its own checkout, with the interpreter that runs this
+script. At the end it prints one JSON line: per ``workload/metric`` pair of
+each workload and end-to-end metric, each side's per-seed values, median
+and quartiles, each side's IQR as a share of its median, the pairs the
+change won (a tie counts for neither side) and a verdict; the lists of the
+``regressed`` and ``unresolved`` pairs; and whether every run was correct
+with 0 failed.
 
 The verdict applies these rules, in this order:
 
@@ -20,11 +22,13 @@ The verdict applies these rules, in this order:
 - ``no_regression`` otherwise.
 
 Each metric's direction ("higher" or "lower" is better) and bound come
-from the ``end_to_end`` list of the parent's ``BENCHMARK.json``. Standard
-library only; it writes nothing outside the benchmark's own run directories.
+from the ``end_to_end`` list of the parent's ``BENCHMARK.json``;
+``--workload all`` means every workload that file lists, and a comma list
+names several. Standard library only; it writes nothing outside the
+benchmark's own run directories.
 
 Usage:
-    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload dataset \
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload all \
         --seeds 301-310 --seconds 45
 """
 
@@ -133,41 +137,67 @@ def summarize(specs: dict[str, dict], runs: dict[str, list[dict]], seeds: list[i
     return metrics
 
 
+def run_pairs(
+    sides: dict[str, Path], workloads: list[str], seeds: list[int], seconds: float
+) -> dict[str, dict[str, list[dict]]]:
+    """Every seed's runs of every workload, the two sides alternating which
+    runs first; per workload, each side's results in seed order."""
+    runs = {workload: {"parent": [], "change": []} for workload in workloads}
+    for index, seed in enumerate(seeds):
+        order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+        for workload in workloads:
+            for side in order:
+                result = run_bench(sides[side], workload, seed, seconds)
+                runs[workload][side].append(result)
+                print(f"{workload} seed {seed} {side}: correct={result.get('correct')} "
+                      f"failed={result.get('failed')}", file=sys.stderr)
+    return runs
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        help="a workload, a comma list of them, or 'all'")
     parser.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 301-310")
     parser.add_argument("--seconds", type=float, required=True)
     args = parser.parse_args(argv)
     benchmark = json.loads((args.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = (
+        [workload["name"] for workload in benchmark["workloads"]]
+        if args.workload == "all"
+        else args.workload.split(",")
+    )
     specs = {m["name"]: m for m in benchmark["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    for index, seed in enumerate(args.seeds):
-        order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
-        for side in order:
-            result = run_bench(sides[side], args.workload, seed, args.seconds)
-            runs[side].append(result)
-            print(f"seed {seed} {side}: correct={result.get('correct')} "
-                  f"failed={result.get('failed')}", file=sys.stderr)
+    runs = run_pairs(sides, workloads, args.seeds, args.seconds)
     all_correct = all(
         run.get("correct") is True and run.get("failed") == 0 and run["exit_code"] == 0
-        for side_runs in runs.values() for run in side_runs
+        for workload_runs in runs.values()
+        for side_runs in workload_runs.values()
+        for run in side_runs
     )
-    metrics = summarize(specs, runs, args.seeds)
+    metrics = {
+        f"{workload}/{name}": metric
+        for workload, workload_runs in runs.items()
+        for name, metric in summarize(specs, workload_runs, args.seeds).items()
+    }
     for name, metric in metrics.items():
         print(f"{name}: {metric['verdict']} (parent IQR {metric['parent_iqr_share']:.1%} "
               f"of its median, change IQR {metric['change_iqr_share']:.1%}, bound "
               f"{metric['bound']:.0%}, change won {metric['change_wins']}/{metric['pairs']})",
               file=sys.stderr)
     print(json.dumps({
-        "workload": args.workload,
+        "workloads": workloads,
         "seeds": args.seeds,
         "seconds": args.seconds,
         "all_correct": all_correct,
         "metrics": metrics,
+        **{
+            outcome: [name for name, metric in metrics.items() if metric["verdict"] == outcome]
+            for outcome in ("regressed", "unresolved")
+        },
     }, sort_keys=True))
     return 0 if all_correct else 1
 

@@ -201,14 +201,14 @@ def _open_scorer(spec: str, mock, external):
             yield external(client)
 
 
-def _build_trie(kb: KbStore, kind: str, tokenizer: ByteTokenizer, years: list) -> ConstraintTrie:
-    """The ``kind`` trie; the tail one also holds the ``years`` labels."""
+def _build_trie(kb: KbStore, kind: str, tokenizer: ByteTokenizer) -> ConstraintTrie:
+    """The ``kind`` trie; the tail one also holds the year labels."""
     if kind == "entity":
         labels = kb.entity_titles()
     elif kind == "relation":
         labels = kb.relation_labels()
     else:
-        labels = list(kb.entity_titles()) + years
+        labels = list(kb.entity_titles()) + year_labels()
     return build_trie(labels, tokenizer)
 
 
@@ -227,7 +227,6 @@ def cmd_build_kb(args: argparse.Namespace) -> None:
 
 
 def cmd_build_trie(args: argparse.Namespace) -> None:
-    years = year_labels(args.years_first, args.years_last)
     kb = _load_kb_from_args(args)
     tokenizer = ByteTokenizer()
     outputs = []
@@ -235,13 +234,12 @@ def cmd_build_trie(args: argparse.Namespace) -> None:
     for kind in TRIE_KINDS:
         path = getattr(args, f"out_{kind}")
         if path:
-            trie = _build_trie(kb, kind, tokenizer, years)
+            trie = _build_trie(kb, kind, tokenizer)
             outputs.append((path, trie))
             counts[f"{kind}_labels"] = trie.label_count
     if not outputs:
         raise ValueError("nothing to build: pass --out-entity/--out-relation/--out-tail")
-    config = {"years_first": args.years_first, "years_last": args.years_last}
-    _finish_stage(args, outputs, config, counts)
+    _finish_stage(args, outputs, {}, counts)
 
 
 def cmd_extract(args: argparse.Namespace) -> None:
@@ -361,7 +359,7 @@ def _load_tries(args: argparse.Namespace, tokenizer: ByteTokenizer) -> DecodingT
                         f"or --{kind}-trie"
                     )
                 kb = _load_kb_from_args(args)
-            tries[kind] = _build_trie(kb, kind, tokenizer, year_labels())
+            tries[kind] = _build_trie(kb, kind, tokenizer)
     return DecodingTries(**tries)
 
 
@@ -381,7 +379,7 @@ class _CountingScorer:
 
 
 def cmd_decode(args: argparse.Namespace) -> None:
-    bounds = {"--beam": args.beam, "--max-len": args.max_len, "--ngram-order": args.ngram_order}
+    bounds = {"--beam": args.beam, "--max-len": args.max_len}
     for flag, value in bounds.items():
         if value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")
@@ -396,7 +394,7 @@ def cmd_decode(args: argparse.Namespace) -> None:
 
     def mock() -> NgramScorer:
         gold = [tokenizer.encode(target) for _, target in instances]
-        return NgramScorer(gold, tokenizer.vocab_size, tokenizer.eos_id, order=args.ngram_order)
+        return NgramScorer(gold, tokenizer.vocab_size, tokenizer.eos_id)
 
     rows = []
     empty_outputs = cut_at_max_len = 0
@@ -420,7 +418,6 @@ def cmd_decode(args: argparse.Namespace) -> None:
         "scorer": args.scorer,
         "beam": args.beam,
         "max_len": args.max_len,
-        "ngram_order": args.ngram_order,
     }
     counts = {
         "predictions": len(rows),
@@ -468,8 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-entity")
     p.add_argument("--out-relation")
     p.add_argument("--out-tail")
-    p.add_argument("--years-first", type=int, default=1)
-    p.add_argument("--years-last", type=int, default=2100)
     p.set_defaults(func=cmd_build_trie)
 
     p = sub.add_parser("extract", help="distant-supervision triple extraction")
@@ -517,7 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scorer", default="mock")
     p.add_argument("--beam", type=int, default=4)
     p.add_argument("--max-len", type=int, default=256)
-    p.add_argument("--ngram-order", type=int, default=2)
     p.add_argument("--entity-trie")
     p.add_argument("--relation-trie")
     p.add_argument("--tail-trie")

@@ -93,15 +93,12 @@ _DONE = GenState(Phase.DONE)
 
 
 class DecodingTries(NamedTuple):
-    """Tries per segment; the tail trie defaults to the entity trie.
-
-    Pass a tail trie built over entity labels plus year literals when date
-    tails must stay generable.
-    """
+    """Tries per segment: subject labels, relation labels, and object labels,
+    which are the entity labels plus the year literals."""
 
     entity: ConstraintTrie
     relation: ConstraintTrie
-    tail: ConstraintTrie | None = None
+    tail: ConstraintTrie
 
 
 class TokenScorer(Protocol):
@@ -151,9 +148,7 @@ class GenStateMachine:
             Phase.IN_SUBJECT: (tries.entity, tokenizer.special_id(REL_TOKEN), Phase.IN_RELATION),
             Phase.IN_RELATION: (tries.relation, tokenizer.special_id(OBJ_TOKEN), Phase.IN_OBJECT),
             Phase.IN_OBJECT: (
-                tries.tail if tries.tail is not None else tries.entity,
-                tokenizer.special_id(END_TRIPLE_TOKEN),
-                Phase.AFTER_TRIPLE,
+                tries.tail, tokenizer.special_id(END_TRIPLE_TOKEN), Phase.AFTER_TRIPLE
             ),
         }
         self._fixed = [fixed.get(phase) for phase in Phase]

@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 import math
 import random
+from string import Formatter
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, TypeVar
 
 from .kb import KbStore, Triple
@@ -32,6 +33,8 @@ logger = logging.getLogger(__name__)
 DEFAULT_ENTAIL_THRESHOLD = 0.7
 DEFAULT_SPLIT = (0.90, 0.05, 0.05)
 MIN_SENTENCE_WORDS = 10
+# The (name, format spec, conversion) of each field a template must hold.
+_FIELDS = {("head", "", None), ("tail", "", None)}
 
 T = TypeVar("T")
 
@@ -78,9 +81,10 @@ def extract_ds_triples(sentence: LinkedSentence, kb: KbStore) -> list[Triple]:
 class HypothesisTemplates:
     """Per-relation hypothesis templates for entailment filtering.
 
-    Templates contain ``{head}`` and ``{tail}`` placeholders. Relations
-    without a custom template fall back to "<head label> <relation label>
-    <tail label>."; a relation missing from the KB is an error.
+    Templates contain ``{head}`` and ``{tail}`` and no other field (``{{``
+    and ``}}`` are literal braces). Relations without a custom template
+    fall back to "<head label> <relation label> <tail label>."; a relation
+    missing from the KB is an error.
     """
 
     def __init__(self, by_pid: dict[str, list[str]]) -> None:
@@ -98,7 +102,18 @@ class HypothesisTemplates:
         if not templates:
             raise TemplateError(f"relation {pid} has an empty template list")
         for template in templates:
-            if "{head}" not in template or "{tail}" not in template:
+            try:
+                fields = {f[1:] for f in Formatter().parse(template) if f[1] is not None}
+            except ValueError as exc:
+                raise TemplateError(
+                    f"template for {pid} does not parse ({exc}): {template!r}"
+                ) from None
+            if not fields <= _FIELDS:
+                raise TemplateError(
+                    f"template for {pid} may hold no field but {{head}} and {{tail}}: "
+                    f"{template!r}"
+                )
+            if fields != _FIELDS:
                 raise TemplateError(
                     f"template for {pid} must contain {{head}} and {{tail}}: {template!r}"
                 )
@@ -138,12 +153,7 @@ class HypothesisTemplates:
         tail = self._label(kb, triple.tail)
         custom = self.by_pid.get(triple.relation)
         if custom:
-            try:
-                return [t.format(head=head, tail=tail) for t in custom]
-            except (KeyError, IndexError) as exc:
-                raise TemplateError(
-                    f"bad placeholder in template for {triple.relation}: {exc}"
-                ) from None
+            return [t.format(head=head, tail=tail) for t in custom]
         relation = kb.relation_label(triple.relation)
         if relation is None:
             raise TemplateError(f"unknown relation {triple.relation!r}")

@@ -8,9 +8,9 @@ ingestion by :func:`map_date_to_year`); ``url_domain`` is accepted and
 ignored. Dataset records are input records plus resolved triples and an
 ``is_negative`` flag written as "no triples" and never read back: the
 same parser reads their id, text and spans, sorted by start.
-Training-instance records (built in :mod:`factgen.linearize`) carry one
-target or the two-headed pair; prediction records carry the generated
-linearized string.
+Training-instance records carry one target or the two-headed pair (built in
+``factgen.cli.cmd_targets`` for the standard and entity-prompt modes, else
+in :mod:`factgen.linearize`); prediction records carry the generated string.
 """
 
 from __future__ import annotations

@@ -221,14 +221,10 @@ def _held_symbol(ids: Iterable[int], tokenizer: Tokenizer) -> str | None:
     return f"reserved symbol {reserved[token_id]!r} (id {token_id})"
 
 
-def year_labels(first: int = 1, last: int = 2100) -> list[str]:
-    """Year literals admitted in the tail position alongside entity labels:
-    only 0..9999, the years ``is_year_literal`` reads, which the KB resolves."""
-    if not (0 <= first <= 9999 and 0 <= last <= 9999):
-        raise ValueError(f"year bounds must lie in 0..9999, got {first}..{last}")
-    if first > last:
-        raise ValueError(f"first year must not exceed last year, got {first}..{last}")
-    return [str(year) for year in range(first, last + 1)]
+def year_labels() -> list[str]:
+    """The year literals "1".."2100", admitted in the tail position alongside
+    entity labels: every tail trie holds exactly these years."""
+    return [str(year) for year in range(1, 2101)]
 
 
 def _little_endian(values: array) -> array:

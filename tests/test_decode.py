@@ -32,7 +32,7 @@ def tries(tok):
     return DecodingTries(
         entity=build_trie(ENTITIES, tok),
         relation=build_trie(RELATIONS, tok),
-        tail=build_trie(ENTITIES + year_labels(1, 2100), tok),
+        tail=build_trie(ENTITIES + year_labels(), tok),
     )
 
 

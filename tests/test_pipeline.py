@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from collections import defaultdict
 
 import pytest
@@ -328,6 +329,15 @@ def test_template_placeholders_are_validated():
         HypothesisTemplates({"P36": ["no placeholders here"]})
     with pytest.raises(TemplateError, match="^relation P36 has an empty template list$"):
         HypothesisTemplates({"P36": []})
+    # Any field but {head} and {tail} fails here, before a scorer starts;
+    # doubled braces are literal text.
+    message = "template for P36 may hold no field but {head} and {tail}: '{head} {tail} {0}'"
+    with pytest.raises(TemplateError, match=f"^{re.escape(message)}$"):
+        HypothesisTemplates({"P36": ["{head} {tail} {0}"]})
+    message = "template for P36 must contain {head} and {tail}: '{head} {{tail}}'"
+    with pytest.raises(TemplateError, match=f"^{re.escape(message)}$"):
+        HypothesisTemplates({"P36": ["{head} {{tail}}"]})
+    assert HypothesisTemplates({"P36": ["{{{head}}} {tail}"]}).by_pid
 
 
 def test_templates_load_jsonl(tmp_path, small_kb, capital_sentence, monkeypatch):

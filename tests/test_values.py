@@ -61,9 +61,9 @@ VALUES = {
         "node=0))",
     ),
     "DecodingTries": (
-        DecodingTries("entity trie", "relation trie"),
+        DecodingTries("entity trie", "relation trie", "tail trie"),
         ("entity", "relation", "tail"),
-        "DecodingTries(entity='entity trie', relation='relation trie', tail=None)",
+        "DecodingTries(entity='entity trie', relation='relation trie', tail='tail trie')",
     ),
     "EvalReport": (
         EvalReport(0.5, 0.25, 0.125, 1.0, 0.0, COUNTS),
@@ -124,7 +124,7 @@ def test_defaults_and_keywords_build_the_same_value():
     assert MentionSpan(0, 2, "ab") == MentionSpan(start=0, end=2, surface="ab", link=None)
     assert LinkedSentence("ab") == LinkedSentence(text="ab", spans=(), id=None)
     assert GenState() == GenState(phase=Phase.START, node=0)
-    assert DecodingTries("e", "r").tail is None
+    assert DecodingTries._field_defaults == {}  # every trie is required
 
 
 def test_values_compare_as_plain_tuples():

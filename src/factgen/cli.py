@@ -52,6 +52,7 @@ from .linearize import (
 )
 from .pipeline import (
     DEFAULT_ENTAIL_THRESHOLD,
+    MIN_SENTENCE_WORDS,
     HypothesisTemplates,
     entailment_filter,
     extract_ds_triples,
@@ -89,14 +90,13 @@ INPUT_FLAGS = (
 )
 
 
-def _write_temp(path: str, content, index: int) -> str:
+def _write_temp(path: str, content) -> str:
     """Write ``content`` beside ``path`` under a temporary name and return it.
 
     A trie is written as its cache, a dict as indented JSON and anything
-    else as JSONL rows. A failed write removes its temporary file. The
-    ``index`` keeps temporary names apart when two outputs share a path.
+    else as JSONL rows. A failed write removes its temporary file.
     """
-    temp = f"{path}.{os.getpid()}-{index}.tmp"
+    temp = f"{path}.{os.getpid()}.tmp"
     try:
         if isinstance(content, ConstraintTrie):
             content.save(temp)
@@ -124,7 +124,9 @@ def _finish_stage(
 
     Nothing is moved into place before every file, the manifest included,
     has been written in full; the manifest moves last. It sits beside the
-    first output, or in ``--out-dir`` for ``split``.
+    first output, or in ``--out-dir`` for ``split``. Two outputs that name
+    one file are refused before anything is written: the later would
+    silently replace the earlier.
     """
     out_dir = getattr(args, "out_dir", None)
     if out_dir:
@@ -139,10 +141,17 @@ def _finish_stage(
         "seed": seed,
         "record_counts": record_counts,
     }
+    files = [*outputs, (manifest_path, manifest)]
+    seen = set()
+    for path, _ in files:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValueError(f"two outputs of the stage would be written to {path}")
+        seen.add(real)
     staged = []
     try:
-        for index, (path, content) in enumerate([*outputs, (manifest_path, manifest)]):
-            staged.append((_write_temp(path, content, index), path))
+        for path, content in files:
+            staged.append((_write_temp(path, content), path))
     except BaseException:
         for temp, _ in staged:
             os.remove(temp)
@@ -151,13 +160,9 @@ def _finish_stage(
         os.replace(temp, path)
 
 
-def _flag(dest: str) -> str:
-    return "--" + dest.replace("_", "-")
-
-
 def _add_kb_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:
     for dest in KB_FLAGS:
-        parser.add_argument(_flag(dest), required=required)
+        parser.add_argument("--" + dest.replace("_", "-"), required=required)
 
 
 # The stages that look up entity pairs (extract) or count them (build-kb):
@@ -201,17 +206,6 @@ def _open_scorer(spec: str, mock, external):
             yield external(client)
 
 
-def _build_trie(kb: KbStore, kind: str, tokenizer: ByteTokenizer) -> ConstraintTrie:
-    """The ``kind`` trie; the tail one also holds the year labels."""
-    if kind == "entity":
-        labels = kb.entity_titles()
-    elif kind == "relation":
-        labels = kb.relation_labels()
-    else:
-        labels = list(kb.entity_titles()) + year_labels()
-    return build_trie(labels, tokenizer)
-
-
 # -- stage commands ----------------------------------------------------------
 
 
@@ -229,16 +223,18 @@ def cmd_build_kb(args: argparse.Namespace) -> None:
 def cmd_build_trie(args: argparse.Namespace) -> None:
     kb = _load_kb_from_args(args)
     tokenizer = ByteTokenizer()
+    # The tail trie also holds the year labels.
+    labels = {
+        "entity": kb.entity_titles(),
+        "relation": kb.relation_labels(),
+        "tail": [*kb.entity_titles(), *year_labels()],
+    }
     outputs = []
     counts = {}
     for kind in TRIE_KINDS:
-        path = getattr(args, f"out_{kind}")
-        if path:
-            trie = _build_trie(kb, kind, tokenizer)
-            outputs.append((path, trie))
-            counts[f"{kind}_labels"] = trie.label_count
-    if not outputs:
-        raise ValueError("nothing to build: pass --out-entity/--out-relation/--out-tail")
+        trie = build_trie(labels[kind], tokenizer)
+        outputs.append((getattr(args, f"out_{kind}"), trie))
+        counts[f"{kind}_labels"] = trie.label_count
     _finish_stage(args, outputs, {}, counts)
 
 
@@ -334,32 +330,17 @@ def cmd_targets(args: argparse.Namespace) -> None:
 
 
 def _load_tries(args: argparse.Namespace, tokenizer: ByteTokenizer) -> DecodingTries:
-    """Each trie from its ``--<kind>-trie`` cache when given, else built from
-    the KB, which is read only when some cache is missing. A cache that
-    holds a reserved symbol was built from a label the KB now rejects."""
+    """Each trie from its ``--<kind>-trie`` cache. A cache that holds a
+    reserved symbol was built from a label the KB now rejects."""
     from .decode import DecodingTries
 
-    kb = None
     tries = {}
     for kind in TRIE_KINDS:
         cache = getattr(args, f"{kind}_trie")
-        if cache:
-            tries[kind] = ConstraintTrie.load(cache)
-            held = tries[kind].reserved_symbol(tokenizer)
-            if held:
-                raise TrieCacheError(
-                    f"{cache}: a label holds {held}: rerun build-trie to rewrite it"
-                )
-        else:
-            if kb is None:
-                missing = [_flag(dest) for dest in KB_FLAGS if getattr(args, dest) is None]
-                if missing:
-                    raise ValueError(
-                        f"building the {kind} trie needs the KB: pass {', '.join(missing)} "
-                        f"or --{kind}-trie"
-                    )
-                kb = _load_kb_from_args(args)
-            tries[kind] = _build_trie(kb, kind, tokenizer)
+        tries[kind] = ConstraintTrie.load(cache)
+        held = tries[kind].reserved_symbol(tokenizer)
+        if held:
+            raise TrieCacheError(f"{cache}: a label holds {held}: rerun build-trie to rewrite it")
     return DecodingTries(**tries)
 
 
@@ -383,14 +364,18 @@ def cmd_decode(args: argparse.Namespace) -> None:
     for flag, value in bounds.items():
         if value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")
+    constrained = args.mode in ("constrained", "partial")
+    missing = [f"--{kind}-trie" for kind in TRIE_KINDS if getattr(args, f"{kind}_trie") is None]
+    if constrained and missing:
+        raise ValueError(
+            f"--mode {args.mode} needs {', '.join(missing)}: run build-trie to write the caches"
+        )
     from .decode import beam_search
     from .scorers import ExternalLmScorer, NgramScorer
 
     tokenizer = ByteTokenizer()
     instances = unique_instances(args.input, read_jsonl(args.input))
-    tries = None
-    if args.mode in ("constrained", "partial"):
-        tries = _load_tries(args, tokenizer)
+    tries = _load_tries(args, tokenizer) if constrained else None
 
     def mock() -> NgramScorer:
         gold = [tokenizer.encode(target) for _, target in instances]
@@ -462,15 +447,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-trie", help="build and cache constraint tries")
     _add_kb_flags(p)
-    p.add_argument("--out-entity")
-    p.add_argument("--out-relation")
-    p.add_argument("--out-tail")
+    for kind in TRIE_KINDS:
+        p.add_argument(f"--out-{kind}", required=True)
     p.set_defaults(func=cmd_build_trie)
 
     p = sub.add_parser("extract", help="distant-supervision triple extraction")
     p.add_argument("--input", required=True)
     _add_kb_flags(p)
-    p.add_argument("--min-words", type=int, default=10)
+    p.add_argument("--min-words", type=int, default=MIN_SENTENCE_WORDS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_extract)
 
@@ -507,14 +491,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode", help="beam-search decode with optional constraints")
     p.add_argument("--input", required=True)
-    _add_kb_flags(p, required=False)  # read only to build a trie whose cache is not given
     p.add_argument("--mode", choices=DECODE_MODES, default="constrained")
     p.add_argument("--scorer", default="mock")
     p.add_argument("--beam", type=int, default=4)
     p.add_argument("--max-len", type=int, default=256)
-    p.add_argument("--entity-trie")
-    p.add_argument("--relation-trie")
-    p.add_argument("--tail-trie")
+    for kind in TRIE_KINDS:
+        p.add_argument(f"--{kind}-trie")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_decode)
 

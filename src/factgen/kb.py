@@ -6,10 +6,12 @@ can ask "which relations hold between these two entities?" in O(1). The
 index stores only its pairs: pairs with equal pid sets share one
 ``frozenset``, which must therefore never be mutated, and the keys reuse
 the entity map's own qid strings, so a pair costs its dict slot and key
-tuple. A caller that only resolves ids and labels (every CLI stage but
-``extract`` and ``build-kb``) loads the store without its triples: then it
+tuple. A caller that only resolves ids and labels (``filter``, ``targets``,
+``build-trie`` and ``score``) loads the store without its triples: then it
 holds the four maps alone, and a pair question raises :class:`KbError`
-rather than answer empty.
+rather than answer empty. ``negatives``, ``split`` and ``decode`` load no
+KB at all: ``decode`` reads its tries from the caches ``build-trie``
+writes.
 
 A triple's tail value is an entity qid or a bare year literal (``0``, or
 1-4 digits with no leading zero); year literals are kept as raw strings

@@ -61,10 +61,6 @@ class MentionSpan(_MentionSpan):
         return tuple.__new__(cls, (start, end, surface, link))
 
     @property
-    def is_linked(self) -> bool:
-        return self.link is not None
-
-    @property
     def is_year(self) -> bool:
         return self.link is not None and is_year_literal(self.link)
 

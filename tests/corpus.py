@@ -155,12 +155,25 @@ def run_cli(*args, expect: int = 0) -> subprocess.CompletedProcess:
     return proc
 
 
+def build_tries(kb_paths: dict[str, str], directory: Path) -> list[str]:
+    """Run ``build-trie`` into ``directory``; return ``decode``'s flags
+    naming the three caches it wrote."""
+    outputs, flags = [], []
+    for kind in ("entity", "relation", "tail"):
+        cache = str(directory / f"{kind}.trie")
+        outputs += [f"--out-{kind}", cache]
+        flags += [f"--{kind}-trie", cache]
+    run_cli("build-trie", *kb_flags(kb_paths), *outputs)
+    return flags
+
+
 def read_jsonl_file(path) -> list[dict]:
     return [json.loads(line) for line in Path(path).read_text().splitlines() if line]
 
 
 def run_pipeline(kb_paths: dict[str, str], workdir: Path, seed: int = 7) -> dict[str, Path]:
-    """extract -> filter -> negatives -> split -> targets -> decode -> score."""
+    """extract -> filter -> negatives -> split -> targets -> build-trie ->
+    decode -> score."""
     workdir.mkdir(parents=True, exist_ok=True)
     sentences = write_micro_corpus(workdir)
     paths = {
@@ -182,7 +195,8 @@ def run_pipeline(kb_paths: dict[str, str], workdir: Path, seed: int = 7) -> dict
             "--seed", str(seed), "--out-dir", paths["splits"])
     run_cli("targets", "--input", paths["dataset"], *kb_flags(kb_paths),
             "--mode", "standard", "--out", paths["targets"])
-    run_cli("decode", "--input", paths["targets"], *kb_flags(kb_paths),
+    tries = build_tries(kb_paths, workdir)
+    run_cli("decode", "--input", paths["targets"], *tries,
             "--mode", "constrained", "--scorer", "mock", "--beam", "4",
             "--max-len", "96", "--out", paths["predictions"])
     run_cli("score", "--pred", paths["predictions"], "--gold", paths["dataset"],
@@ -198,4 +212,7 @@ def pipeline_output_files(paths: dict[str, Path]) -> list[Path]:
         files.append(Path(str(paths[key]) + ".manifest.json"))
     for name in ("train.jsonl", "validation.jsonl", "test.jsonl", "split.manifest.json"):
         files.append(paths["splits"] / name)
+    workdir = paths["predictions"].parent
+    for name in ("entity.trie", "relation.trie", "tail.trie", "entity.trie.manifest.json"):
+        files.append(workdir / name)
     return files

@@ -16,10 +16,13 @@ from factgen.pipeline import HypothesisTemplates
 from factgen.records import load_dataset, write_jsonl
 from factgen.scorers import ExternalScorerClient
 from factgen.tokenizers import ByteTokenizer
-from factgen.trie import ConstraintTrie
+from factgen.trie import ConstraintTrie, build_trie, year_labels
 
 from .corpus import (
     CLI,
+    ENTITIES,
+    RELATIONS,
+    build_tries,
     kb_flags,
     micro_corpus_records,
     read_jsonl_file as read_jsonl,
@@ -35,6 +38,12 @@ def kb_paths(tmp_path_factory):
     return write_kb_fixture(tmp_path_factory.mktemp("kb"))
 
 
+@pytest.fixture(scope="module")
+def trie_caches(kb_paths, tmp_path_factory) -> list[str]:
+    """``decode``'s three ``--<kind>-trie`` flags, over caches of the KB."""
+    return build_tries(kb_paths, tmp_path_factory.mktemp("tries"))
+
+
 def test_build_kb_reports_stats(kb_paths, tmp_path):
     out = tmp_path / "stats.json"
     run_cli("build-kb", *kb_flags(kb_paths), "--out", out)
@@ -46,15 +55,59 @@ def test_build_kb_reports_stats(kb_paths, tmp_path):
 
 
 def test_build_trie_writes_loadable_caches(kb_paths, tmp_path):
-    ent, rel = tmp_path / "ent.trie", tmp_path / "rel.trie"
-    run_cli(
-        "build-trie", *kb_flags(kb_paths),
-        "--out-entity", ent, "--out-relation", rel,
-    )
-    from factgen.trie import ConstraintTrie
+    # Oracle: build_trie over the fixture's titles, its relation labels, and
+    # the titles plus the year labels.
+    build_tries(kb_paths, tmp_path)
+    titles = [title for _, title in ENTITIES]
+    labels = {
+        "entity": titles,
+        "relation": [label for _, label, _ in RELATIONS],
+        "tail": titles + year_labels(),
+    }
+    tokenizer = ByteTokenizer()
+    for kind, kind_labels in labels.items():
+        cache = tmp_path / f"{kind}.trie"
+        assert cache.read_bytes() == build_trie(kind_labels, tokenizer).to_bytes(), kind
+        assert ConstraintTrie.load(str(cache)).label_count == len(kind_labels)
+    assert [len(kind_labels) for kind_labels in labels.values()] == [12, 3, 2112]
 
-    assert ConstraintTrie.load(str(ent)).label_count == 12
-    assert ConstraintTrie.load(str(rel)).label_count == 3
+
+@pytest.mark.parametrize("kind", ["entity", "relation", "tail"])
+def test_build_trie_needs_all_three_outputs(kb_paths, tmp_path, kind):
+    outputs = []
+    for other in ("entity", "relation", "tail"):
+        if other != kind:
+            outputs += [f"--out-{other}", str(tmp_path / f"{other}.trie")]
+    proc = subprocess.run(
+        [*CLI, "build-trie", *kb_flags(kb_paths), *outputs], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert f"--out-{kind}" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("clash", ["manifest", "tail", "same-file"])
+def test_build_trie_refuses_two_outputs_on_one_path(kb_paths, tmp_path, capsys, clash):
+    # A manifest on a trie's path would replace that trie, and a tail trie
+    # on the entity trie's path would let decode emit years as subjects.
+    entity = str(tmp_path / "a.trie")
+    outputs = {"entity": entity, "relation": str(tmp_path / "r.trie"),
+               "tail": str(tmp_path / "t.trie")}
+    if clash == "manifest":
+        outputs["relation"] = repeated = entity + ".manifest.json"
+    elif clash == "tail":
+        outputs["tail"] = repeated = entity
+    else:
+        outputs["tail"] = repeated = f"{tmp_path}/./a.trie"
+    argv = ["build-trie", *kb_flags(kb_paths)]
+    for kind, path in outputs.items():
+        argv += [f"--out-{kind}", path]
+    assert cli.main(argv) == 1
+    assert stage_error(capsys) == {
+        "stage": "build-trie",
+        "error": f"ValueError: two outputs of the stage would be written to {repeated}",
+    }
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -64,17 +117,23 @@ def test_build_trie_writes_loadable_caches(kb_paths, tmp_path):
         ("build-trie", ["--years-first", "1"]),
         ("build-trie", ["--years-last", "2100"]),
         ("decode", ["--ngram-order", "2"]),
+        ("decode", ["--kb-entities", "entities.tsv"]),
+        ("decode", ["--kb-relations", "relations.tsv"]),
+        ("decode", ["--kb-triples", "triples.tsv"]),
     ],
-    ids=["no-such-flag", "years-first", "years-last", "ngram-order"],
+    ids=["no-such-flag", "years-first", "years-last", "ngram-order", "decode-kb-entities",
+         "decode-kb-relations", "decode-kb-triples"],
 )
 def test_bad_flags_exit_2(kb_paths, tmp_path, stage, flag):
     # The year set and the mock scorer's order are fixed: no flag sets them.
+    # decode reads its tries from build-trie's caches alone, never the KB.
     data = tmp_path / "empty.jsonl"
     data.write_text("")
     out = str(tmp_path / "out")
     good = {
         "extract": ["--input", str(data), *kb_flags(kb_paths), "--out", out],
-        "build-trie": [*kb_flags(kb_paths), "--out-tail", out],
+        "build-trie": [*kb_flags(kb_paths), "--out-entity", f"{out}.e",
+                       "--out-relation", f"{out}.r", "--out-tail", f"{out}.t"],
         "decode": ["--input", str(data), "--mode", "unconstrained", "--out", out],
     }[stage]
     assert cli.main([stage, *good]) == 0  # the bad flag is all that is wrong
@@ -319,13 +378,13 @@ def test_filter_rejects_bad_entail_value_from_exec_scorer(kb_paths, tmp_path):
     assert "nan" in error["error"].lower()
 
 
-def test_decode_with_exec_scorer(kb_paths, tmp_path):
+def test_decode_with_exec_scorer(trie_caches, tmp_path):
     stub = Path(__file__).parent / "stub_scorer.py"
     data = tmp_path / "instances.jsonl"
     data.write_text(json.dumps({"id": "x", "input": "text", "target": ""}) + "\n")
     out = tmp_path / "pred.jsonl"
     run_cli(
-        "decode", "--input", data, *kb_flags(kb_paths),
+        "decode", "--input", data, *trie_caches,
         "--mode", "constrained",
         "--scorer", f"exec:{sys.executable} {stub}",
         "--beam", "2", "--max-len", "8", "--out", out,
@@ -378,7 +437,7 @@ def test_decode_manifest_counts_the_requests_and_the_kinds_of_output(tmp_path):
     }
 
 
-def test_decode_rejects_nan_from_exec_scorer(kb_paths, tmp_path):
+def test_decode_rejects_nan_from_exec_scorer(trie_caches, tmp_path):
     nan_scorer = tmp_path / "nan_scorer.py"
     nan_scorer.write_text(
         "import sys, json\n"
@@ -392,7 +451,7 @@ def test_decode_rejects_nan_from_exec_scorer(kb_paths, tmp_path):
     data.write_text(json.dumps({"id": "x", "input": "text", "target": ""}) + "\n")
     proc = subprocess.run(
         [
-            *CLI, "decode", "--input", str(data), *kb_flags(kb_paths),
+            *CLI, "decode", "--input", str(data), *trie_caches,
             "--mode", "constrained",
             "--scorer", f"exec:{sys.executable} {nan_scorer}",
             "--out", str(tmp_path / "pred.jsonl"),
@@ -428,7 +487,7 @@ def stage_error(capsys) -> dict:
          "beam-minus-3", "max-len-0"],
 )
 def test_bad_bound_fails_before_input_is_read(
-    kb_paths, tmp_path, capsys, stage, flags, message, input_exists
+    kb_paths, trie_caches, tmp_path, capsys, stage, flags, message, input_exists
 ):
     data = tmp_path / "empty.jsonl"
     if input_exists:
@@ -436,7 +495,8 @@ def test_bad_bound_fails_before_input_is_read(
     if stage == "split":  # no KB, and a directory for its three outputs
         outputs = ["--out-dir", str(tmp_path / "splits")]
     else:
-        outputs = [*kb_flags(kb_paths), "--out", str(tmp_path / "out.jsonl")]
+        sources = trie_caches if stage == "decode" else kb_flags(kb_paths)
+        outputs = [*sources, "--out", str(tmp_path / "out.jsonl")]
     code = cli.main([stage, "--input", str(data), *flags, *outputs])
     assert code == 1
     assert stage_error(capsys) == {"stage": stage, "error": f"ValueError: {message}"}
@@ -483,7 +543,7 @@ def test_score_rejects_duplicate_ids(kb_paths, tmp_path, capsys, duplicated):
 
 
 @pytest.mark.parametrize("stage", ["extract", "negatives", "decode", "split"])
-def test_repeated_input_id_is_rejected(kb_paths, tmp_path, capsys, stage):
+def test_repeated_input_id_is_rejected(kb_paths, trie_caches, tmp_path, capsys, stage):
     # A later positive repeating a pool sentence's id once made negatives
     # count that sentence's triples from the wrong record, and decode wrote
     # predictions that score then rejected.
@@ -499,7 +559,8 @@ def test_repeated_input_id_is_rejected(kb_paths, tmp_path, capsys, stage):
     if stage == "split":
         flags = ["--out-dir", str(out)]
     else:
-        flags = [*kb_flags(kb_paths), "--out", str(out)]
+        sources = trie_caches if stage == "decode" else kb_flags(kb_paths)
+        flags = [*sources, "--out", str(out)]
     code = cli.main([stage, "--input", str(data), *flags])
     assert code == 1
     assert stage_error(capsys) == {
@@ -507,41 +568,6 @@ def test_repeated_input_id_is_rejected(kb_paths, tmp_path, capsys, stage):
         "error": f"RecordError: {data}:3: duplicate id 's1'",
     }
     assert not out.exists()
-
-
-@pytest.mark.parametrize("mode", ["unconstrained", "constrained"])
-def test_decode_reads_the_kb_only_to_build_a_missing_trie(tmp_path, mode):
-    kb = write_kb_fixture(tmp_path / "kb")
-    tries = []
-    if mode == "constrained":
-        build = ["build-trie", *kb_flags(kb)]
-        for kind in ("entity", "relation", "tail"):
-            cache = str(tmp_path / f"{kind}.trie")
-            build += [f"--out-{kind}", cache]
-            tries += [f"--{kind}-trie", cache]
-        assert cli.main(build) == 0
-    data = tmp_path / "instances.jsonl"
-    write_jsonl(str(data), [
-        {"id": "a", "input": "x", "target": "<sub>United Kingdom<rel>capital<obj>London<et>"},
-        {"id": "b", "input": "y", "target": "<sub>Italy<rel>capital<obj>Rome<et>"},
-    ])
-    out = tmp_path / "pred.jsonl"
-    manifest = tmp_path / "pred.jsonl.manifest.json"
-    argv = ["decode", "--input", str(data), *kb_flags(kb), "--mode", mode, *tries,
-            "--beam", "2", "--max-len", "64", "--out", str(out)]
-    assert cli.main(argv) == 0
-    with_kb = out.read_bytes(), manifest.read_bytes()
-    for path in kb.values():
-        Path(path).unlink()
-    assert cli.main(argv) == 0
-    assert (out.read_bytes(), manifest.read_bytes()) == with_kb
-    # The --kb-* flags are optional; the manifest lists only the inputs given,
-    # the trie caches after the instances.
-    argv = ["decode", "--input", str(data), "--mode", mode, *tries,
-            "--beam", "2", "--max-len", "64", "--out", str(out)]
-    assert cli.main(argv) == 0
-    assert out.read_bytes() == with_kb[0]
-    assert json.loads(manifest.read_bytes())["inputs"] == [str(data), *tries[1::2]]
 
 
 def test_decode_rejects_a_trie_cache_that_holds_eos(tmp_path, capsys):
@@ -572,19 +598,24 @@ def test_decode_rejects_a_trie_cache_that_holds_eos(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_decode_names_the_kb_flags_a_trie_build_lacks(kb_paths, tmp_path, capsys):
-    data = tmp_path / "instances.jsonl"
-    write_jsonl(str(data), [{"id": "a", "input": "x", "target": ""}])
+@pytest.mark.parametrize("mode", ["constrained", "partial"])
+def test_decode_names_the_trie_caches_it_lacks(trie_caches, tmp_path, capsys, mode):
+    # The input does not exist: the caches are checked before it is read.
     out = tmp_path / "pred.jsonl"
-    argv = ["decode", "--input", str(data), "--kb-relations", kb_paths["relations"],
-            "--mode", "constrained", "--out", str(out)]
-    assert cli.main(argv) == 1
-    assert stage_error(capsys) == {
-        "stage": "decode",
-        "error": "ValueError: building the entity trie needs the KB: "
-        "pass --kb-entities, --kb-triples or --entity-trie",
-    }
-    assert not out.exists()
+    argv = ["decode", "--input", str(tmp_path / "missing.jsonl"), "--mode", mode,
+            "--out", str(out)]
+    for given, missing in [
+        ([], "--entity-trie, --relation-trie, --tail-trie"),
+        (trie_caches[:2], "--relation-trie, --tail-trie"),
+        (trie_caches[2:], "--entity-trie"),
+    ]:
+        assert cli.main([*argv, *given]) == 1
+        assert stage_error(capsys) == {
+            "stage": "decode",
+            "error": f"ValueError: --mode {mode} needs {missing}: "
+            "run build-trie to write the caches",
+        }
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.fixture()
@@ -626,7 +657,8 @@ def test_exec_scorer_is_closed_when_the_stage_fails(
         data.write_text(json.dumps({"id": "x", "input": "text", "target": ""}) + "\n")
         corrupt = tmp_path / "entity.trie"
         corrupt.write_bytes(cache)
-        flags = ["--entity-trie", str(corrupt)]
+        flags = ["--entity-trie", str(corrupt), "--relation-trie", str(corrupt),
+                 "--tail-trie", str(corrupt)]
         expected = "TrieCacheError: bad magic bytes"
     else:
         # P99 is not in the KB, so rendering its hypothesis fails mid-stage.
@@ -638,11 +670,11 @@ def test_exec_scorer_is_closed_when_the_stage_fails(
             "is_negative": False,
         }
         data.write_text(json.dumps(row) + "\n")
-        flags = []
+        flags = kb_flags(kb_paths)
         expected = "TemplateError: unknown relation 'P99'"
     out = tmp_path / "out.jsonl"
     code = cli.main(
-        [stage, "--input", str(data), *kb_flags(kb_paths), *flags,
+        [stage, "--input", str(data), *flags,
          "--scorer", f"exec:{sys.executable} {stub}", "--out", str(out)]
     )
     assert code == 1
@@ -689,8 +721,9 @@ def test_failed_write_leaves_previous_outputs_untouched(tmp_path, monkeypatch):
 
 
 # Every manifest of the micro pipeline plus build-kb and build-trie, as the
-# stage runner wrote them before it became one helper; <run> and <kb> stand
-# for the run and KB directories.
+# stage runner wrote them before it became one helper, except that decode
+# now lists the trie caches it reads where it once listed the KB; <run> and
+# <kb> stand for the run and KB directories.
 KB_INPUTS = ["<kb>/entities.tsv", "<kb>/relations.tsv", "<kb>/triples.tsv"]
 PINNED_MANIFESTS = {
     "kb-stats.json.manifest.json": {
@@ -745,7 +778,10 @@ PINNED_MANIFESTS = {
         "config": {
             "beam": 4, "max_len": 96, "mode": "constrained", "scorer": "mock",
         },
-        "inputs": ["<run>/targets.jsonl", *KB_INPUTS],
+        "inputs": [
+            "<run>/targets.jsonl", "<run>/entity.trie", "<run>/relation.trie",
+            "<run>/tail.trie",
+        ],
         "outputs": ["<run>/predictions.jsonl"], "seed": None,
         "record_counts": {
             "predictions": 16, "scorer_requests": 32, "scored_candidates": 208,
@@ -785,12 +821,8 @@ PINNED_MANIFESTS = {
 @pytest.fixture(scope="module")
 def manifest_run(kb_paths, tmp_path_factory) -> Path:
     run = tmp_path_factory.mktemp("manifests")
-    run_pipeline(kb_paths, run)
+    run_pipeline(kb_paths, run)  # build-trie included
     run_cli("build-kb", *kb_flags(kb_paths), "--out", run / "kb-stats.json")
-    run_cli(
-        "build-trie", *kb_flags(kb_paths), "--out-entity", run / "entity.trie",
-        "--out-relation", run / "relation.trie", "--out-tail", run / "tail.trie",
-    )
     # The files a stage reads beyond its input and the KB: templates, caches.
     write_jsonl(str(run / "templates.jsonl"), [{"pid": "P36", "templates": ["{head}: {tail}"]}])
     run_cli(
@@ -1176,9 +1208,9 @@ def test_only_extract_and_build_kb_read_the_triples(tmp_path, capsys, corruption
            "--out", o(f"{mode}.jsonl")] for mode in cli.TARGET_MODES),
         ["build-trie", *kb_flags(kb), "--out-entity", o("entity.trie"),
          "--out-relation", o("relation.trie"), "--out-tail", o("tail.trie")],
-        # No trie cache is given, so decode builds its tries from the KB.
-        ["decode", "--input", o("standard.jsonl"), *kb_flags(kb), "--max-len", "64",
-         "--out", o("pred.jsonl")],
+        ["decode", "--input", o("standard.jsonl"), "--entity-trie", o("entity.trie"),
+         "--relation-trie", o("relation.trie"), "--tail-trie", o("tail.trie"),
+         "--max-len", "64", "--out", o("pred.jsonl")],
         ["score", "--pred", o("pred.jsonl"), "--gold", o("ds.jsonl"), *kb_flags(kb),
          "--out", o("report.json")],
     ]
@@ -1240,12 +1272,12 @@ def test_targets_computes_only_what_its_mode_reads(kb_paths, tmp_path, monkeypat
 
 
 @pytest.mark.parametrize("stage", ["decode", "split"])
-def test_decode_and_split_reject_a_record_without_id(kb_paths, tmp_path, capsys, stage):
+def test_decode_and_split_reject_a_record_without_id(tmp_path, capsys, stage):
     data = tmp_path / "data.jsonl"
     write_jsonl(str(data), [{"id": "x", "input": "one"}, {"input": "two"}])
     if stage == "decode":
-        argv = ["decode", "--input", str(data), *kb_flags(kb_paths), "--mode",
-                "unconstrained", "--out", str(tmp_path / "pred.jsonl")]
+        argv = ["decode", "--input", str(data), "--mode", "unconstrained",
+                "--out", str(tmp_path / "pred.jsonl")]
     else:
         argv = ["split", "--input", str(data), "--out-dir", str(tmp_path / "splits")]
     assert cli.main(argv) == 1

@@ -40,7 +40,7 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .kb import KbStore, load_kb
+from .kb import KbStore, load_kb, year_labels
 from .linearize import (
     build_artificial_prompt_instances,
     build_dual_target_instance,
@@ -73,7 +73,7 @@ from .records import (
     write_jsonl,
 )
 from .tokenizers import ByteTokenizer
-from .trie import ConstraintTrie, TrieCacheError, build_trie, year_labels
+from .trie import ConstraintTrie, TrieCacheError, build_trie
 
 if TYPE_CHECKING:
     from .decode import DecodingTries
@@ -365,11 +365,17 @@ def cmd_decode(args: argparse.Namespace) -> None:
         if value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")
     constrained = args.mode in ("constrained", "partial")
-    missing = [f"--{kind}-trie" for kind in TRIE_KINDS if getattr(args, f"{kind}_trie") is None]
-    if constrained and missing:
+    # The constrained modes need all three trie caches; unconstrained takes none.
+    wrong = [
+        f"--{kind}-trie" for kind in TRIE_KINDS
+        if (getattr(args, f"{kind}_trie") is None) == constrained
+    ]
+    if wrong and constrained:
         raise ValueError(
-            f"--mode {args.mode} needs {', '.join(missing)}: run build-trie to write the caches"
+            f"--mode {args.mode} needs {', '.join(wrong)}: run build-trie to write the caches"
         )
+    if wrong:
+        raise ValueError(f"--mode {args.mode} takes no trie: drop {', '.join(wrong)}")
     from .decode import beam_search
     from .scorers import ExternalLmScorer, NgramScorer
 

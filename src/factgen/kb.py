@@ -13,13 +13,15 @@ rather than answer empty. ``negatives``, ``split`` and ``decode`` load no
 KB at all: ``decode`` reads its tries from the caches ``build-trie``
 writes.
 
-A triple's tail value is an entity qid or a bare year literal (``0``, or
-1-4 digits with no leading zero); year literals are kept as raw strings
-because dates carry no entity id of their own. A qid may therefore never
-read as a year. :meth:`KbStore.value_label` and its inverse
-:meth:`KbStore.resolve_value` are the one place that rule is applied: a
-value's label is the entity title, or the year itself. Titles and relation
-labels survive the linearized language (:func:`is_label`).
+A triple's tail value is an entity qid or a year literal, kept as a raw
+string because dates carry no entity id of their own. The year literals,
+"1".."2100" (:func:`year_labels`), are defined here alone: the KB, date
+mapping and the tail trie admit exactly these, so every KB year can be
+generated. A qid may never read as a year. :meth:`KbStore.value_label`
+and its inverse :meth:`KbStore.resolve_value` are the one place that
+rule is applied: a value's label is the entity title, or the year
+itself. Titles and relation labels survive the linearized language
+(:func:`is_label`).
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .tokenizers import SPECIAL_TOKENS
 
-YEAR_RE = re.compile(r"0|[1-9][0-9]{0,3}")
 _RESERVED_RE = re.compile("|".join(map(re.escape, SPECIAL_TOKENS)))
 _NOT_A_LABEL = "holds a reserved symbol or leading or trailing whitespace"
 
@@ -37,10 +38,19 @@ _NOT_A_LABEL = "holds a reserved symbol or leading or trailing whitespace"
 _Rows = Iterable[tuple[int, Sequence[str]]]
 
 
+# Each year literal keyed by itself, ascending. Stores share its strings: never mutate it.
+_YEARS = {year: year for year in map(str, range(1, 2101))}
+
+
+def year_labels() -> list[str]:
+    """The year literals "1".."2100", ascending: the years a triple tail
+    may hold and the tail trie admits alongside entity labels."""
+    return list(_YEARS)
+
+
 def is_year_literal(value: str) -> bool:
-    """True if the string is a year in its one spelling: ``0``, or one to
-    four digits without a leading zero."""
-    return YEAR_RE.fullmatch(value) is not None
+    """True if the string is one of :func:`year_labels`."""
+    return value in _YEARS
 
 
 def is_label(text: str) -> bool:
@@ -136,7 +146,6 @@ class KbStore:
     def _add_triples(self, rows: _Rows, source: str | None) -> None:
         title_of, qid_of, pairs = self._title_of, self._qid_of, self._pairs
         label_of, pid_of = self._label_of, self._pid_of
-        years: dict[str, str] = {}
         # One frozenset per distinct pid set, shared by every pair that has it.
         singles: dict[str, frozenset[str]] = {}
         shared: dict[frozenset[str], frozenset[str]] = {}
@@ -149,9 +158,9 @@ class KbStore:
                 problem = f"triple tail {tail!r} is neither a known entity nor a year literal"
             else:
                 # The store's own strings, not the row's: the entity map's
-                # qids, the relation map's pids and one string per year.
+                # qids, the relation map's pids and the year set's strings.
                 tail_title = title_of.get(tail)
-                tail = years.setdefault(tail, tail) if tail_title is None else qid_of[tail_title]
+                tail = _YEARS[tail] if tail_title is None else qid_of[tail_title]
                 key = (qid_of[title_of[head]], tail)
                 single = singles.get(pid)
                 if single is None:

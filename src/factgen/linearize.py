@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, NamedTuple, Sequence
 
-from .kb import KbStore, Triple, is_year_literal
+from .kb import KbStore, Triple
 from .tokenizers import (
     EL_PROMPT,
     END_TRIPLE_TOKEN,
@@ -59,10 +59,6 @@ class MentionSpan(_MentionSpan):
         if start < 0 or end <= start:
             raise ValueError(f"bad span offsets [{start}, {end})")
         return tuple.__new__(cls, (start, end, surface, link))
-
-    @property
-    def is_year(self) -> bool:
-        return self.link is not None and is_year_literal(self.link)
 
 
 class _LinkedSentence(NamedTuple):

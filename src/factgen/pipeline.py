@@ -21,7 +21,7 @@ import random
 from string import Formatter
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, TypeVar
 
-from .kb import KbStore, Triple
+from .kb import KbStore, Triple, is_year_literal
 from .linearize import LinkedSentence, order_triples
 from .records import read_jsonl
 
@@ -65,7 +65,7 @@ def extract_ds_triples(sentence: LinkedSentence, kb: KbStore) -> list[Triple]:
     seen: set[Triple] = set()
     triples: list[Triple] = []
     for head_span in spans:
-        if head_span.is_year:
+        if is_year_literal(head_span.link):
             continue
         for tail_span in spans:
             if tail_span is head_span:

@@ -20,7 +20,7 @@ import re
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .kb import Triple
+from .kb import Triple, is_year_literal
 from .linearize import LinkedSentence, MentionSpan
 
 _MONTHS = (
@@ -77,13 +77,15 @@ def map_date_to_year(surface: str) -> str | None:
 
     Recognized forms: "Month D, YYYY", "D Month YYYY", "YYYY-MM-DD" and a
     bare year of one to four digits. The year comes back in its one
-    spelling, without leading zeros: "0012-05-05" gives "12".
+    spelling, without leading zeros: "0012-05-05" gives "12". A year outside
+    :func:`factgen.kb.year_labels` ("0000", "3000-01-01") gives None.
     """
     surface = surface.strip()
     for pattern in _DATE_PATTERNS:
         match = pattern.match(surface)
         if match:
-            return str(int(match.group(1)))
+            year = str(int(match.group(1)))
+            return year if is_year_literal(year) else None
     return None
 
 
@@ -94,19 +96,30 @@ def _check_type(context: str, field: str, value: object, kind: type) -> None:
         raise RecordError(f"{context}: {field} must be {name}, got {value!r}")
 
 
+def _record_id(row: Mapping, context: str) -> str:
+    """The record's id, which must be present and a string."""
+    try:
+        record_id = row["id"]
+    except KeyError:
+        raise RecordError(f"{context}: record lacks 'id'") from None
+    _check_type(context, "id", record_id, str)
+    return record_id
+
+
 def _load_unique(
     path: str,
-    parse: Callable[[Mapping, str], object],
+    parse: Callable[[Mapping, str], object] | None,
     numbered_rows: Iterable[tuple[int, dict]],
 ) -> list:
-    """``parse(row, "path:line")`` over the ``read_jsonl(path)`` rows given;
-    a repeated id is an error."""
+    """``parse(row, "path:line")`` over the ``read_jsonl(path)`` rows given
+    (the rows themselves for ``parse`` None), after checking each row's
+    string id; a repeated id is an error."""
     seen: set[str] = set()
     items = []
     for lineno, row in numbered_rows:
         context = f"{path}:{lineno}"
-        items.append(parse(row, context))
-        record_id = str(row["id"])  # present: every parser requires it
+        record_id = _record_id(row, context)
+        items.append(row if parse is None else parse(row, context))
         if record_id in seen:
             raise RecordError(f"{context}: duplicate id {record_id!r}")
         seen.add(record_id)
@@ -141,11 +154,11 @@ def _spans_from_input(row: Mapping, context: str) -> list[MentionSpan]:
 
 
 def sentence_from_input_record(row: Mapping, context: str = "<record>") -> LinkedSentence:
+    sid = _record_id(row, context)
     try:
         text = row["text"]
-        sid = str(row["id"])
-    except KeyError as exc:
-        raise RecordError(f"{context}: record lacks {exc}") from None
+    except KeyError:
+        raise RecordError(f"{context}: record lacks 'text'") from None
     _check_type(context, "text", text, str)
     spans = _spans_from_input(row, context)
     spans.sort(key=attrgetter("start"))
@@ -155,12 +168,6 @@ def sentence_from_input_record(row: Mapping, context: str = "<record>") -> Linke
         raise RecordError(f"{context}: {exc}") from None
 
 
-def _record_with_id(row: Mapping, context: str) -> Mapping:
-    if "id" not in row:
-        raise RecordError(f"{context}: record lacks 'id'")
-    return row
-
-
 def unique_records(path: str, numbered_rows: Iterable[tuple[int, dict]]) -> list[dict]:
     """The records of ``read_jsonl(path)``, of any schema, in file order;
     each needs an id, and a repeated id is an error.
@@ -168,15 +175,14 @@ def unique_records(path: str, numbered_rows: Iterable[tuple[int, dict]]) -> list
     The caller reads the rows, so a caller that times its own
     ``read_jsonl`` (as ``bench/tracer.py`` does for the CLI) sees the read.
     """
-    return _load_unique(path, _record_with_id, numbered_rows)
+    return _load_unique(path, None, numbered_rows)
 
 
 def _instance_from_record(row: Mapping, context: str) -> tuple[str, str]:
-    _record_with_id(row, context)
     for field in ("target", "target_ie"):
         if field in row:
             _check_type(context, field, row[field], str)
-    return str(row["id"]), row.get("target", row.get("target_ie", ""))
+    return row["id"], row.get("target", row.get("target_ie", ""))  # _load_unique checked the id
 
 
 def unique_instances(
@@ -246,11 +252,11 @@ def load_gold(path: str) -> dict[str, list[Triple]]:
 
 def _prediction_from_record(row: Mapping, context: str) -> tuple[str, str]:
     try:
-        instance_id, output = str(row["id"]), row["output"]
-    except KeyError as exc:
-        raise RecordError(f"{context}: record lacks {exc}") from None
+        output = row["output"]
+    except KeyError:
+        raise RecordError(f"{context}: record lacks 'output'") from None
     _check_type(context, "output", output, str)
-    return instance_id, output
+    return row["id"], output  # _load_unique checked the id
 
 
 def load_predictions(path: str) -> dict[str, str]:

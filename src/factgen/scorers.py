@@ -52,45 +52,29 @@ class ScorerProtocolError(Exception):
 
 
 class NgramScorer:
-    """Deterministic n-gram language model with add-one smoothing.
+    """Deterministic bigram language model with add-one smoothing.
 
     Counts come from gold target token sequences (EOS appended when
     missing), so the scorer prefers continuations it has seen after the
-    same ``order - 1`` tokens of context. Unseen events get the smoothed
-    floor instead of minus infinity; all values are finite and nonpositive.
+    same previous token (``BOS`` at the start). Unseen events get the
+    smoothed floor instead of minus infinity; all values are finite and
+    nonpositive.
     """
 
     BOS = -1
 
-    def __init__(
-        self,
-        targets: Sequence[Sequence[int]],
-        vocab_size: int,
-        eos_id: int,
-        order: int = 2,
-    ) -> None:
-        if order < 1:
-            raise ValueError("order must be >= 1")
+    def __init__(self, targets: Sequence[Sequence[int]], vocab_size: int, eos_id: int) -> None:
         self.vocab_size = vocab_size
-        self.order = order
-        self._counts: dict[tuple[int, ...], Counter[int]] = {}
+        self._counts: dict[int, Counter[int]] = {}
         for target in targets:
             tokens = list(target)
             if not tokens or tokens[-1] != eos_id:
                 tokens.append(eos_id)
-            padded = [self.BOS] * (order - 1) + tokens
-            for i in range(order - 1, len(padded)):
-                context = tuple(padded[i - order + 1 : i])
-                self._counts.setdefault(context, Counter())[padded[i]] += 1
-
-    def _context(self, prefix: Sequence[int]) -> tuple[int, ...]:
-        if self.order == 1:
-            return ()
-        padded = [self.BOS] * (self.order - 1) + list(prefix)
-        return tuple(padded[len(padded) - self.order + 1 :])
+            for previous, token in zip([self.BOS, *tokens], tokens):
+                self._counts.setdefault(previous, Counter())[token] += 1
 
     def score(self, prefix: Sequence[int], candidates: Sequence[int]) -> list[float]:
-        counts = self._counts.get(self._context(prefix))
+        counts = self._counts.get(prefix[-1] if prefix else self.BOS)
         total = sum(counts.values()) if counts else 0
         denominator = total + self.vocab_size
         return [

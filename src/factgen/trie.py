@@ -221,12 +221,6 @@ def _held_symbol(ids: Iterable[int], tokenizer: Tokenizer) -> str | None:
     return f"reserved symbol {reserved[token_id]!r} (id {token_id})"
 
 
-def year_labels() -> list[str]:
-    """The year literals "1".."2100", admitted in the tail position alongside
-    entity labels: every tail trie holds exactly these years."""
-    return [str(year) for year in range(1, 2101)]
-
-
 def _little_endian(values: array) -> array:
     """``values`` itself on a little-endian host, else a byte-swapped copy."""
     if sys.byteorder == "big":

@@ -11,12 +11,12 @@ from pathlib import Path
 import pytest
 
 from factgen import cli
-from factgen.kb import Triple, load_kb
+from factgen.kb import Triple, load_kb, year_labels
 from factgen.pipeline import HypothesisTemplates
 from factgen.records import load_dataset, write_jsonl
 from factgen.scorers import ExternalScorerClient
 from factgen.tokenizers import ByteTokenizer
-from factgen.trie import ConstraintTrie, build_trie, year_labels
+from factgen.trie import ConstraintTrie, build_trie
 
 from .corpus import (
     CLI,
@@ -218,7 +218,7 @@ def test_score_prints_hand_fixture_numbers(kb_paths, tmp_path):
 
 def test_split_is_byte_identical_across_reruns(tmp_path):
     data = tmp_path / "data.jsonl"
-    data.write_text("".join(json.dumps({"id": i}) + "\n" for i in range(40)))
+    data.write_text("".join(json.dumps({"id": str(i)}) + "\n" for i in range(40)))
     out = tmp_path / "splits"
     names = ("train.jsonl", "validation.jsonl", "test.jsonl", "split.manifest.json")
     run_cli("split", "--input", data, "--split", "90,5,5", "--seed", "7",
@@ -505,7 +505,7 @@ def test_bad_bound_fails_before_input_is_read(
 
 def test_non_numeric_split_names_the_flag(tmp_path, capsys):
     data = tmp_path / "data.jsonl"
-    data.write_text(json.dumps({"id": 1}) + "\n")
+    data.write_text(json.dumps({"id": "1"}) + "\n")
     code = cli.main(
         ["split", "--input", str(data), "--split", "a,b,c", "--out-dir", str(tmp_path / "s")]
     )
@@ -618,6 +618,25 @@ def test_decode_names_the_trie_caches_it_lacks(trie_caches, tmp_path, capsys, mo
     assert list(tmp_path.iterdir()) == []
 
 
+def test_unconstrained_decode_names_the_trie_flags_it_refuses(trie_caches, tmp_path, capsys):
+    # The input does not exist: the flags are checked before it is read,
+    # and a cache that does not exist either is refused, not listed.
+    out = tmp_path / "pred.jsonl"
+    argv = ["decode", "--input", str(tmp_path / "missing.jsonl"), "--mode", "unconstrained",
+            "--out", str(out)]
+    for given, extra in [
+        (trie_caches, "--entity-trie, --relation-trie, --tail-trie"),
+        (trie_caches[2:4], "--relation-trie"),
+        (["--entity-trie", str(tmp_path / "nonexistent.trie")], "--entity-trie"),
+    ]:
+        assert cli.main([*argv, *given]) == 1
+        assert stage_error(capsys) == {
+            "stage": "decode",
+            "error": f"ValueError: --mode unconstrained takes no trie: drop {extra}",
+        }
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.fixture()
 def scorer_clients(monkeypatch):
     """``(opened, closed)``: every scorer client made, and every one closed."""
@@ -693,7 +712,7 @@ def test_exec_scorer_is_closed_when_the_stage_fails(
 
 def test_failed_write_leaves_previous_outputs_untouched(tmp_path, monkeypatch):
     data = tmp_path / "data.jsonl"
-    data.write_text("".join(json.dumps({"id": i}) + "\n" for i in range(40)))
+    data.write_text("".join(json.dumps({"id": str(i)}) + "\n" for i in range(40)))
     out = tmp_path / "splits"
 
     def split(seed: str) -> int:
@@ -896,7 +915,7 @@ def test_main_pauses_the_collector_and_restores_it(
     tmp_path, monkeypatch, capsys, collecting, fails
 ):
     data = tmp_path / "data.jsonl"
-    data.write_text("".join(json.dumps({"id": i}) + "\n" for i in range(4)))
+    data.write_text("".join(json.dumps({"id": str(i)}) + "\n" for i in range(4)))
     seen = []
     split_dataset = cli.split_dataset
 
@@ -1184,12 +1203,19 @@ def test_negatives_never_reads_the_kb(tmp_path):
     assert json.loads(manifest.read_bytes())["inputs"] == [str(paths["filtered"])]
 
 
-# Two ways to corrupt triples.tsv, each with the loader error it must give.
+# Ways to corrupt triples.tsv, each with the loader error it must give: a
+# malformed row, or a year tail outside the year set "1".."2100".
 BAD_TRIPLES = {
     "short-row": ("Q145\tP36\tQ84\nQ38\tP36\n", "KbLoadError: {path}:2: "
                   "expected 3 tab-separated fields, got 2"),
     "long-row": ("Q145\tP36\tQ84\tQ1\n", "KbLoadError: {path}:1: "
                  "expected 3 tab-separated fields, got 4"),
+    **{
+        f"year-{year}": (f"Q145\tP36\tQ84\nQ62\tP571\t{year}\n", "KbIntegrityError: "
+                         f"{{path}}:2: triple tail '{year}' is neither a known entity "
+                         "nor a year literal")
+        for year in ("0", "2101", "9999")
+    },
 }
 
 

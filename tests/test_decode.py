@@ -18,10 +18,11 @@ from factgen.decode import (
     Phase,
     beam_search,
 )
+from factgen.kb import year_labels
 from factgen.linearize import parse_linearized
 from factgen.scorers import NgramScorer
 from factgen.tokenizers import ByteTokenizer
-from factgen.trie import build_trie, year_labels
+from factgen.trie import build_trie
 
 ENTITIES = ["Italy", "India", "Io"]
 RELATIONS = ["in", "near"]
@@ -324,7 +325,7 @@ def test_beam_equals_exhaustive_enumeration(probs, k):
     assert [(h.tokens, h.score) for h in hyps] == expected
 
 
-def random_ngram_scorer(seed, tok, order=2):
+def random_ngram_scorer(seed, tok):
     rng = random.Random(seed)
     sequences = []
     for _ in range(rng.randint(1, 6)):
@@ -336,7 +337,7 @@ def random_ngram_scorer(seed, tok, order=2):
             tail = rng.choice(ENTITIES + ["1907"])
             text = f"<sub>{entity}<rel>{relation}<obj>{tail}<et>"
             sequences.append(tok.encode(text) + [tok.eos_id])
-    return NgramScorer(sequences, tok.vocab_size, tok.eos_id, order=order)
+    return NgramScorer(sequences, tok.vocab_size, tok.eos_id)
 
 
 def test_constrained_outputs_always_valid_under_fuzz(tries, tok):

@@ -6,7 +6,7 @@ import re
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from factgen.evaluation import resolve_raw_triple, score_predictions
@@ -17,7 +17,9 @@ from factgen.kb import (
     KbStore,
     Triple,
     is_label,
+    is_year_literal,
     load_kb,
+    year_labels,
 )
 from factgen.linearize import RawTriple, linearize, linearize_labels, parse_linearized
 from factgen.tokenizers import SPECIAL_TOKENS, ByteTokenizer
@@ -132,8 +134,9 @@ def test_relations_between_matches_bruteforce_scan(tmp_path):
             assert store.relations_between(head, tail) == expected.get((head, tail), set())
 
 
-# A few years, so that several pairs share a year tail.
-_YEAR_TAILS = ["0", "7", "1999", "2024"]
+# A few years, so that several pairs share a year tail: both ends of the
+# year set among them.
+_YEAR_TAILS = ["1", "7", "1999", "2100"]
 
 
 def _copy(text: str) -> str:
@@ -293,6 +296,36 @@ def test_qid_that_reads_as_a_year_names_its_line(tmp_path):
         load_kb(*paths)
 
 
+def test_year_labels_span_range():
+    years = year_labels()
+    assert years[0] == "1"
+    assert years[-1] == "2100"
+    assert len(years) == len(set(years)) == 2100
+    assert "1776" in years
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(st.integers(-5, 10_000).map(str), st.text(alphabet="0129 १७", max_size=5)))
+@example("0")
+@example("0012")
+@example("2101")
+@example(" 1999")
+@example("१७७६")  # Devanagari digits: str.isdigit() says yes, the year set no
+def test_a_year_literal_is_a_member_of_the_year_set(value):
+    assert is_year_literal(value) == (value in year_labels())
+
+
+def test_a_qid_outside_the_year_set_is_an_entity():
+    store = KbStore.from_records(
+        entities=[("0", "Zero"), ("2101", "Future")],
+        relations=[("P1", "r", "")],
+        triples=[("0", "P1", "2101")],
+    )
+    assert store.value_label("2101") == "Future"
+    assert store.resolve_value("Zero") == "0"
+    assert store.relations_between("0", "2101") == {"P1"}
+
+
 def test_title_that_reads_as_a_year_resolves_to_its_entity():
     store = KbStore.from_records(
         entities=[("Q1", "Alpha"), ("Q2", "1917")],
@@ -322,8 +355,8 @@ def test_titles_are_case_significant():
     assert store.resolve_title("APPLE") is None
 
 
-# A year's one spelling: 0, or 1-4 digits without a leading zero.
-YEAR_SPELLING = r"0|[1-9][0-9]{0,3}"
+# The years "1".."2100" in their one spelling, without a leading zero.
+YEAR_SPELLING = r"[1-9][0-9]{0,2}|1[0-9]{3}|20[0-9]{2}|2100"
 
 
 def _is_year(value: str) -> bool:
@@ -440,6 +473,15 @@ GOOD_RELATION = ("P1", "founded", "")
             ("relations", ("P2", f"{symbol}r", ""), KbIntegrityError,
              f"relation label '{symbol}r' {NOT_A_LABEL}")
             for symbol in SPECIAL_TOKENS
+        ],
+        # The year set is "1".."2100": its last year is no qid, and a year
+        # tail outside it is no value.
+        ("entities", ("2100", "Beta"), KbIntegrityError,
+         "entity qid '2100' reads as a year literal"),
+        *[
+            ("triples", ("Q1", "P1", year), KbIntegrityError,
+             f"triple tail '{year}' is neither a known entity nor a year literal")
+            for year in ("0", "2101", "9999")
         ],
     ],
 )

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factgen.kb import Triple
+from factgen.kb import Triple, year_labels
 from factgen.linearize import LinkedSentence, MentionSpan
 from factgen.pipeline import (
     HypothesisTemplates,
@@ -24,6 +24,8 @@ from factgen.pipeline import (
 )
 from factgen.records import map_date_to_year
 from factgen.scorers import TableNliScorer
+
+YEARS = frozenset(year_labels())
 
 
 def sentence_with_links(links: list[str | None], sid: str = "s") -> LinkedSentence:
@@ -56,11 +58,35 @@ def sentence_with_links(links: list[str | None], sid: str = "s") -> LinkedSenten
         ("0012-05-05", "12"),
         ("January 1, 0950", "950"),
         ("0012", "12"),
-        ("0000", "0"),
+        ("2100-12-31", "2100"),
     ],
 )
 def test_recognized_date_forms(surface, year):
     assert map_date_to_year(surface) == year
+
+
+@pytest.mark.parametrize(
+    "surface", ["0000", "0", "3000-01-01", "October 10, 9999", "10 October 2101", "2101"]
+)
+def test_dates_outside_the_year_set_stay_unlinked(surface):
+    # Only a year the KB admits, "1".."2100", is a link.
+    assert map_date_to_year(surface) is None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        st.text(),
+        st.from_regex(
+            r"\s?(?:(?:October|may) [0-9]{1,2}, |[0-9]{1,2} October )?"
+            r"[0-9]{1,5}(?:-[0-9]{2}-[0-9]{2})?\s?",
+            fullmatch=True,
+        ),
+    )
+)
+def test_a_mapped_date_is_a_year_literal(surface):
+    year = map_date_to_year(surface)
+    assert year is None or year in YEARS
 
 
 @pytest.mark.parametrize(
@@ -124,7 +150,7 @@ def test_four_span_fixture_matches_bruteforce_oracle(small_kb):
     linked = [s for s in sentence.spans if s.link]
     for a in linked:
         for b in linked:
-            if a is b or a.is_year:
+            if a is b or a.link.isdigit():  # a year never heads a triple
                 continue
             for head, pid, tail in raw_rows:
                 if head == a.link and tail == b.link:

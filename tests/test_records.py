@@ -15,6 +15,7 @@ from factgen.records import (
     read_jsonl,
     sentence_from_input_record,
     unique_instances,
+    unique_records,
     write_jsonl,
 )
 
@@ -256,6 +257,29 @@ def test_every_span_and_triple_error_names_its_line(tmp_path, loader, row, messa
     with pytest.raises(RecordError) as raised:
         loader(str(path))
     assert str(raised.value) == f"{path}:2: {message}"
+
+
+def _load_records(path: str) -> list[dict]:
+    return unique_records(path, read_jsonl(path))
+
+
+ID_LOADERS = (load_input_sentences, load_dataset, load_predictions, _load_instances, _load_records)
+
+
+@pytest.mark.parametrize(
+    "record_id, shown",
+    [(None, "None"), (5, "5"), (True, "True"), ({"a": 1}, "{'a': 1}")],
+    ids=["null", "int", "bool", "object"],
+)
+@pytest.mark.parametrize("loader", ID_LOADERS, ids=lambda loader: loader.__name__.strip("_"))
+def test_a_record_id_must_be_a_string(tmp_path, loader, record_id, shown):
+    # One row that every loader accepts, then the same row with a bad id.
+    path = tmp_path / "records.jsonl"
+    good = {"id": "ok", "text": TEXT, "spans": [], "output": ""}
+    path.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, id=record_id)) + "\n")
+    with pytest.raises(RecordError) as raised:
+        loader(str(path))
+    assert str(raised.value) == f"{path}:2: id must be str, got {shown}"
 
 
 def test_valid_spans_load_the_same_through_both_loaders(tmp_path):

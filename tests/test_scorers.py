@@ -44,7 +44,7 @@ def stub_nli_entail(premise: str, hypothesis: str) -> float:
 
 def test_ngram_counts_follow_targets(tok):
     target = tok.encode("ab")
-    scorer = NgramScorer([target], tok.vocab_size, tok.eos_id, order=2)
+    scorer = NgramScorer([target], tok.vocab_size, tok.eos_id)
     a, b = tok.encode("a")[0], tok.encode("b")[0]
     first = scorer.score((), [a, b])
     # "a" opens the only target; "b" never appears sentence-initially.
@@ -56,15 +56,13 @@ def test_ngram_counts_follow_targets(tok):
 
 def test_ngram_appends_eos_to_targets(tok):
     a = tok.encode("a")[0]
-    scorer = NgramScorer([[a]], tok.vocab_size, tok.eos_id, order=2)
+    scorer = NgramScorer([[a]], tok.vocab_size, tok.eos_id)
     after_a = scorer.score((a,), [tok.eos_id, a])
     assert after_a[0] > after_a[1]
 
 
 def test_ngram_values_are_finite_and_nonpositive(tok):
-    scorer = NgramScorer(
-        [tok.encode("<sub>Italy<et>"), [tok.eos_id]], tok.vocab_size, tok.eos_id, order=3
-    )
+    scorer = NgramScorer([tok.encode("<sub>Italy<et>"), [tok.eos_id]], tok.vocab_size, tok.eos_id)
     for prefix in ((), tuple(tok.encode("It")), (1, 2, 3)):
         for value in scorer.score(prefix, list(range(tok.vocab_size))):
             assert value <= 0.0
@@ -78,11 +76,6 @@ def test_ngram_deterministic_and_batch_independent(tok):
     alone = scorer.score(prefix, [b])[0]
     batched = scorer.score(prefix, list(range(260)))[b]
     assert alone == batched
-
-
-def test_ngram_rejects_bad_order(tok):
-    with pytest.raises(ValueError):
-        NgramScorer([], tok.vocab_size, tok.eos_id, order=0)
 
 
 # -- NLI table stub ----------------------------------------------------------------

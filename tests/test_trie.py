@@ -13,7 +13,6 @@ from factgen.trie import (
     TrieBuildError,
     TrieCacheError,
     build_trie,
-    year_labels,
 )
 
 
@@ -153,13 +152,6 @@ def test_node_count_bound(tok):
     trie = build_trie(labels, tok)
     total_tokens = sum(len(tok.encode(label)) for label in labels)
     assert trie.node_count <= total_tokens + 1
-
-
-def test_year_labels_span_range():
-    years = year_labels()
-    assert years[0] == "1"
-    assert years[-1] == "2100"
-    assert "1776" in years
 
 
 # -- binary cache ---------------------------------------------------------------

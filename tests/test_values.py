@@ -132,7 +132,6 @@ def test_values_compare_as_plain_tuples():
     # RawTriple with the same fields, of its fields.
     assert Triple("a", "b", "c") == ("a", "b", "c") == RawTriple("a", "b", "c")
     assert hash(Triple("a", "b", "c")) == hash(("a", "b", "c"))
-    assert MentionSpan(0, 4, "1999", "1999").is_year is True
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

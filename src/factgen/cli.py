@@ -113,44 +113,65 @@ def _write_temp(path: str, content) -> str:
     return temp
 
 
-def _finish_stage(
-    args: argparse.Namespace,
-    outputs: list[tuple[str, object]],
-    config: dict,
-    record_counts: dict[str, int],
-    seed: int | None = None,
-) -> None:
-    """Write a stage's ``(path, content)`` outputs, then its manifest.
+SPLIT_PARTS = ("train", "validation", "test")
 
-    Nothing is moved into place before every file, the manifest included,
-    has been written in full; the manifest moves last. It sits beside the
-    first output, or in ``--out-dir`` for ``split``. Two outputs that name
-    one file are refused before anything is written: the later would
-    silently replace the earlier.
+
+def _output_paths(args: argparse.Namespace) -> list[str]:
+    """Every file the stage writes, its manifest last; none for ``score``
+    without ``--out``.
+
+    The manifest sits beside the first output, or in ``--out-dir`` for
+    ``split``. Two paths that name one file are refused, as the later write
+    would silently replace the earlier: :func:`main` checks this before the
+    stage reads any input.
     """
-    out_dir = getattr(args, "out_dir", None)
-    if out_dir:
-        manifest_path = str(Path(out_dir) / f"{args.command}.manifest.json")
+    if args.command == "build-trie":
+        outputs = [getattr(args, f"out_{kind}") for kind in TRIE_KINDS]
+        manifest = outputs[0] + ".manifest.json"
+    elif args.command == "split":
+        out_dir = Path(args.out_dir)
+        outputs = [str(out_dir / f"{name}.jsonl") for name in SPLIT_PARTS]
+        manifest = str(out_dir / f"{args.command}.manifest.json")
+    elif args.out:
+        outputs = [args.out]
+        manifest = args.out + ".manifest.json"
     else:
-        manifest_path = outputs[0][0] + ".manifest.json"
-    manifest = {
-        "stage": args.command,
-        "config": config,
-        "inputs": [getattr(args, f) for f in INPUT_FLAGS if getattr(args, f, None) is not None],
-        "outputs": [path for path, _ in outputs],
-        "seed": seed,
-        "record_counts": record_counts,
-    }
-    files = [*outputs, (manifest_path, manifest)]
+        return []
+    paths = [*outputs, manifest]
     seen = set()
-    for path, _ in files:
+    for path in paths:
         real = os.path.realpath(path)
         if real in seen:
             raise ValueError(f"two outputs of the stage would be written to {path}")
         seen.add(real)
+    return paths
+
+
+def _finish_stage(
+    args: argparse.Namespace,
+    contents: Sequence[object],
+    config: dict,
+    record_counts: dict[str, int],
+    seed: int | None = None,
+) -> None:
+    """Write the stage's outputs, ``contents`` in :func:`_output_paths`
+    order, then its manifest.
+
+    Nothing is moved into place before every file, the manifest included,
+    has been written in full; the manifest moves last.
+    """
+    *outputs, manifest_path = _output_paths(args)
+    manifest = {
+        "stage": args.command,
+        "config": config,
+        "inputs": [getattr(args, f) for f in INPUT_FLAGS if getattr(args, f, None) is not None],
+        "outputs": outputs,
+        "seed": seed,
+        "record_counts": record_counts,
+    }
     staged = []
     try:
-        for path, content in files:
+        for path, content in zip((*outputs, manifest_path), (*contents, manifest)):
             staged.append((_write_temp(path, content), path))
     except BaseException:
         for temp, _ in staged:
@@ -217,25 +238,22 @@ def cmd_build_kb(args: argparse.Namespace) -> None:
         "pairs": kb.num_pairs,
         "triples": kb.num_triples,
     }
-    _finish_stage(args, [(args.out, stats)], {}, stats)
+    _finish_stage(args, [stats], {}, stats)
 
 
 def cmd_build_trie(args: argparse.Namespace) -> None:
     kb = _load_kb_from_args(args)
     tokenizer = ByteTokenizer()
-    # The tail trie also holds the year labels.
+    # The tail trie holds only the year labels: the object position walks it
+    # together with the entity trie, so it needs no second copy of the titles.
     labels = {
         "entity": kb.entity_titles(),
         "relation": kb.relation_labels(),
-        "tail": [*kb.entity_titles(), *year_labels()],
+        "tail": year_labels(),
     }
-    outputs = []
-    counts = {}
-    for kind in TRIE_KINDS:
-        trie = build_trie(labels[kind], tokenizer)
-        outputs.append((getattr(args, f"out_{kind}"), trie))
-        counts[f"{kind}_labels"] = trie.label_count
-    _finish_stage(args, outputs, {}, counts)
+    tries = [build_trie(labels[kind], tokenizer) for kind in TRIE_KINDS]
+    counts = {f"{kind}_labels": trie.label_count for kind, trie in zip(TRIE_KINDS, tries)}
+    _finish_stage(args, tries, {}, counts)
 
 
 def cmd_extract(args: argparse.Namespace) -> None:
@@ -248,7 +266,7 @@ def cmd_extract(args: argparse.Namespace) -> None:
         "ds_triples": sum(len(row["triples"]) for row in rows),
         "dropped_short": len(read) - len(sentences),
     }
-    _finish_stage(args, [(args.out, rows)], {"min_words": args.min_words}, counts)
+    _finish_stage(args, [rows], {"min_words": args.min_words}, counts)
 
 
 def cmd_filter(args: argparse.Namespace) -> None:
@@ -279,7 +297,7 @@ def cmd_filter(args: argparse.Namespace) -> None:
     kept_total = sum(map(len, kept))
     config = {"threshold": args.threshold, "scorer": args.scorer}
     counts = {"sentences": len(rows), "kept_triples": kept_total}
-    _finish_stage(args, [(args.out, rows)], config, counts)
+    _finish_stage(args, [rows], config, counts)
 
 
 def cmd_negatives(args: argparse.Namespace) -> None:
@@ -295,18 +313,16 @@ def cmd_negatives(args: argparse.Namespace) -> None:
     rows = [dataset_record(s, t) for s, t in positives]
     rows.extend(dataset_record(s, []) for s in negatives)
     counts = {"instances": len(rows), "positives": len(positives), "negatives": len(negatives)}
-    _finish_stage(args, [(args.out, rows)], {"neg_fraction": fraction}, counts, args.seed)
+    _finish_stage(args, [rows], {"neg_fraction": fraction}, counts, args.seed)
 
 
 def cmd_split(args: argparse.Namespace) -> None:
     ratios = _parse_split(args.split)
     rows = unique_records(args.input, read_jsonl(args.input))
-    parts = dict(zip(("train", "validation", "test"), split_dataset(rows, ratios, args.seed)))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = [(str(out_dir / f"{name}.jsonl"), part) for name, part in parts.items()]
-    counts = {name: len(part) for name, part in parts.items()}
-    _finish_stage(args, outputs, {"ratios": list(ratios)}, counts, args.seed)
+    parts = split_dataset(rows, ratios, args.seed)
+    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+    counts = {name: len(part) for name, part in zip(SPLIT_PARTS, parts)}
+    _finish_stage(args, parts, {"ratios": list(ratios)}, counts, args.seed)
 
 
 def cmd_targets(args: argparse.Namespace) -> None:
@@ -326,7 +342,7 @@ def cmd_targets(args: argparse.Namespace) -> None:
             rows.extend(build_artificial_prompt_instances(sentence, el_chain, target))
         else:  # dual-head
             rows.append(build_dual_target_instance(sentence, el_chain, target))
-    _finish_stage(args, [(args.out, rows)], {"mode": args.mode}, {"instances": len(rows)})
+    _finish_stage(args, [rows], {"mode": args.mode}, {"instances": len(rows)})
 
 
 def _load_tries(args: argparse.Namespace, tokenizer: ByteTokenizer) -> DecodingTries:
@@ -417,7 +433,7 @@ def cmd_decode(args: argparse.Namespace) -> None:
         "empty_outputs": empty_outputs,
         "cut_at_max_len": cut_at_max_len,
     }
-    _finish_stage(args, [(args.out, rows)], config, counts)
+    _finish_stage(args, [rows], config, counts)
 
 
 def cmd_score(args: argparse.Namespace) -> None:
@@ -432,7 +448,7 @@ def cmd_score(args: argparse.Namespace) -> None:
     report = score_predictions(predictions, gold, kb)
     print(report.format_table())
     if args.out:
-        _finish_stage(args, [(args.out, report.to_dict())], {}, {"instances": len(gold)})
+        _finish_stage(args, [report.to_dict()], {}, {"instances": len(gold)})
 
 
 # -- parser ------------------------------------------------------------------
@@ -524,6 +540,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
+        _output_paths(args)  # two outputs on one path fail before any input is read
         args.func(args)
     except Exception as exc:  # noqa: BLE001 - map data errors to exit 1
         line = json.dumps(

@@ -5,8 +5,11 @@ a fresh state the decoder may either stop immediately (the empty output is
 the correct answer for a sentence with no facts) or open a triple with
 ``<sub>``. Inside subject/relation/object segments the next-token set comes
 from the corresponding prefix trie, with the phase-transition symbol added
-whenever the tokens so far form a complete label. After ``<et>`` the
-decoder may stop or start another triple.
+whenever the tokens so far form a complete label. An object is an entity
+title or a year literal: the object phase walks the entity trie and the
+year (tail) trie together while both may still be followed, and the entity
+trie alone once only a title can follow. After ``<et>`` the decoder may
+stop or start another triple.
 
 Three modes are supported: ``unconstrained`` (plain beam search over the
 full vocabulary), ``constrained`` (the machine filters candidates at every
@@ -54,7 +57,12 @@ class DecodeFailure(DecodeError):
 
 
 class Phase(enum.IntEnum):
-    """Decoder phase; its value indexes ``GenStateMachine``'s per-phase tables."""
+    """Decoder phase; its value indexes ``GenStateMachine``'s per-phase tables.
+
+    ``<obj>`` leads to ``IN_OBJECT_JOINT``, where the object may still
+    become a title or a year; ``IN_OBJECT`` is an object that only a title
+    can complete.
+    """
 
     START = 0
     IN_SUBJECT = 1
@@ -63,9 +71,10 @@ class Phase(enum.IntEnum):
     AFTER_TRIPLE = 4
     UNCONSTRAINED_PREFIX = 5
     DONE = 6
+    IN_OBJECT_JOINT = 7
 
 
-_TRIE_PHASES = (Phase.IN_SUBJECT, Phase.IN_RELATION, Phase.IN_OBJECT)
+_TRIE_PHASES = (Phase.IN_SUBJECT, Phase.IN_RELATION, Phase.IN_OBJECT, Phase.IN_OBJECT_JOINT)
 
 
 class _GenState(NamedTuple):
@@ -77,7 +86,12 @@ class GenState(_GenState):
     """Decoder position: the phase, and inside a label the trie node reached.
 
     ``node`` is a node number of the phase's trie (0, the root, on entering
-    a label); outside the label phases it is always 0.
+    a label): the entity trie's for ``IN_SUBJECT`` and ``IN_OBJECT``, the
+    relation trie's for ``IN_RELATION``. In ``IN_OBJECT_JOINT`` it is the
+    pair ``year_node * (entity_nodes + 1) + entity_node`` of the two tries'
+    nodes, with ``entity_node`` equal to the entity trie's node count once
+    no title has the prefix; 0 is both roots. Outside the label phases
+    ``node`` is always 0.
     """
 
     __slots__ = ()
@@ -93,8 +107,12 @@ _DONE = GenState(Phase.DONE)
 
 
 class DecodingTries(NamedTuple):
-    """Tries per segment: subject labels, relation labels, and object labels,
-    which are the entity labels plus the year literals."""
+    """Tries per segment: ``entity`` holds the entity titles, which both the
+    subject and the object may take; ``relation`` the relation labels; and
+    ``tail`` the year literals, which only the object may take. An object
+    admits a title or a year, whichever trie continues it. A ``tail`` trie
+    that also holds the titles, as ``build-trie`` once wrote it, admits the
+    same objects."""
 
     entity: ConstraintTrie
     relation: ConstraintTrie
@@ -121,12 +139,17 @@ class Hypothesis(NamedTuple):
 
 
 class GenStateMachine:
-    """Allowed-token sets and transitions for one trie/tokenizer pairing."""
+    """Allowed-token sets and transitions for one trie/tokenizer pairing.
+
+    Building one is O(1) in the trie sizes: the joint object walk reads both
+    tries as it goes, and keeps only the allowed sets it has computed.
+    """
 
     def __init__(self, tries: DecodingTries, tokenizer: Tokenizer) -> None:
         eos = tokenizer.eos_id
         sub = tokenizer.special_id(SUB_TOKEN)
         marker = tokenizer.special_id(TRIPLE_MARKER)
+        end_triple = tokenizer.special_id(END_TRIPLE_TOKEN)
         # Per fixed phase (indexed by phase, None for label phases): the
         # allowed ids, ascending, and the moves out of it; any other allowed
         # token keeps the phase.
@@ -140,25 +163,33 @@ class GenStateMachine:
             ),
             done: ((), {}),
         }
-        # Per label phase (None for the fixed phases): its trie, the symbol
-        # that closes a complete label and the phase that symbol leads to.
-        # A label that no longer label extends stays at its leaf node, where
-        # the closing symbol is the only allowed token.
+        # Per single-trie label phase (None for the others): its trie, the
+        # symbol that closes a complete label and the phase that symbol
+        # leads to. A label that no longer label extends stays at its leaf
+        # node, where the closing symbol is the only allowed token.
         labels = {
             Phase.IN_SUBJECT: (tries.entity, tokenizer.special_id(REL_TOKEN), Phase.IN_RELATION),
-            Phase.IN_RELATION: (tries.relation, tokenizer.special_id(OBJ_TOKEN), Phase.IN_OBJECT),
-            Phase.IN_OBJECT: (
-                tries.tail, tokenizer.special_id(END_TRIPLE_TOKEN), Phase.AFTER_TRIPLE
+            Phase.IN_RELATION: (
+                tries.relation, tokenizer.special_id(OBJ_TOKEN), Phase.IN_OBJECT_JOINT
             ),
+            Phase.IN_OBJECT: (tries.entity, end_triple, Phase.AFTER_TRIPLE),
         }
         self._fixed = [fixed.get(phase) for phase in Phase]
         self._labels = [labels.get(phase) for phase in Phase]
+        # The joint object walk: both tries, IN_OBJECT_JOINT's node base
+        # (the entity trie's node count, which marks a prefix no title
+        # has) and <et>; and the allowed sets it has met, by node.
+        self._object = (tries.entity, tries.tail, tries.entity.node_count, end_triple)
+        self._joint_allowed_at: dict[int, tuple[int, ...]] = {}
 
     def allowed_tokens(self, state: GenState) -> tuple[int, ...]:
         """The allowed next token ids, ascending."""
         label = self._labels[state.phase]
         if label is None:
-            return self._fixed[state.phase][0]
+            fixed = self._fixed[state.phase]
+            if fixed is None:
+                return self._joint_allowed(state.node)
+            return fixed[0]
         trie, close, _ = label
         ids = trie.children(state.node)  # a fresh array, ascending
         if trie.is_terminal(state.node):
@@ -179,13 +210,54 @@ class GenStateMachine:
             if node < 0:
                 raise _violation(state, token)
             return GenState(phase, node)
-        allowed, moves = self._fixed[phase]
+        fixed = self._fixed[phase]
+        if fixed is None:
+            return self._joint_advance(state, token)
+        allowed, moves = fixed
         after = moves.get(token)
         if after is not None:
             return GenState(after)
         if token not in allowed:
             raise _violation(state, token)
         return state
+
+    # -- the joint object walk: a prefix that a year may still complete --
+
+    def _joint_allowed(self, node: int) -> tuple[int, ...]:
+        """The sorted union of both tries' children at an IN_OBJECT_JOINT
+        node, plus ``<et>`` when either side ends a label there."""
+        allowed = self._joint_allowed_at.get(node)
+        if allowed is None:
+            entity, years, no_title, close = self._object
+            year, title = divmod(node, no_title + 1)
+            ids = {*years.children(year)}
+            complete = years.is_terminal(year)
+            if title < no_title:
+                ids.update(entity.children(title))
+                complete = complete or entity.is_terminal(title)
+            if complete:
+                ids.add(close)
+            allowed = self._joint_allowed_at[node] = tuple(sorted(ids))
+        return allowed
+
+    def _joint_advance(self, state: GenState, token: int) -> GenState:
+        entity, years, no_title, close = self._object
+        year, title = divmod(state.node, no_title + 1)
+        has_title = title < no_title
+        if token == close and (
+            years.is_terminal(year) or (has_title and entity.is_terminal(title))
+        ):
+            return GenState(Phase.AFTER_TRIPLE)
+        year = years.child(year, token)
+        title = entity.child(title, token) if has_title else -1
+        if year >= 0:
+            if title < 0:
+                title = no_title
+            return GenState(Phase.IN_OBJECT_JOINT, year * (no_title + 1) + title)
+        if title < 0:
+            raise _violation(state, token)
+        # Only a title continues this prefix: the plain entity walk from here.
+        return GenState(Phase.IN_OBJECT, title)
 
 
 def _violation(state: GenState, token: int) -> ConstraintViolation:

@@ -44,7 +44,7 @@ _YEARS = {year: year for year in map(str, range(1, 2101))}
 
 def year_labels() -> list[str]:
     """The year literals "1".."2100", ascending: the years a triple tail
-    may hold and the tail trie admits alongside entity labels."""
+    may hold, and the labels of the tail trie."""
     return list(_YEARS)
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import errno
 import json
 import math
+import os
 import select
 import shlex
 import socket
@@ -123,6 +124,31 @@ def _entail_value(response: dict) -> float:
             f"nli response 'entail' must be a number in [0, 1], got {value!r}"
         )
     return float(value)
+
+
+def _wait_child(proc: subprocess.Popen, timeout: float) -> None:
+    """Reap ``proc`` once it exits; raise ``subprocess.TimeoutExpired`` if
+    it still runs after ``timeout`` seconds.
+
+    The wait polls a pidfd (``os.pidfd_open``, Linux 5.3+), which wakes at
+    the exit itself; ``Popen.wait`` notices it only at its next sleep step.
+    Without a pidfd it falls back to ``Popen.wait``.
+    """
+    if proc.returncode is not None:
+        return  # reaped already: its pid may now name another process
+    try:
+        pidfd = os.pidfd_open(proc.pid)
+    except (AttributeError, OSError):  # no pidfd_open here, or already reaped
+        proc.wait(timeout=timeout)
+        return
+    try:
+        poller = select.poll()
+        poller.register(pidfd, select.POLLIN)
+        if not poller.poll(timeout * 1000):
+            raise subprocess.TimeoutExpired(proc.args, timeout)
+    finally:
+        os.close(pidfd)
+    proc.wait()
 
 
 class ExternalScorerClient:
@@ -259,7 +285,7 @@ class ExternalScorerClient:
         finally:
             try:
                 if self._proc is not None:
-                    self._proc.wait(timeout=CHILD_EXIT_TIMEOUT)
+                    _wait_child(self._proc, CHILD_EXIT_TIMEOUT)
             except subprocess.TimeoutExpired:
                 self._proc.kill()
                 self._proc.wait()

@@ -56,20 +56,19 @@ def test_build_kb_reports_stats(kb_paths, tmp_path):
 
 def test_build_trie_writes_loadable_caches(kb_paths, tmp_path):
     # Oracle: build_trie over the fixture's titles, its relation labels, and
-    # the titles plus the year labels.
+    # the year labels alone: the object walks the titles in the entity trie.
     build_tries(kb_paths, tmp_path)
-    titles = [title for _, title in ENTITIES]
     labels = {
-        "entity": titles,
+        "entity": [title for _, title in ENTITIES],
         "relation": [label for _, label, _ in RELATIONS],
-        "tail": titles + year_labels(),
+        "tail": year_labels(),
     }
     tokenizer = ByteTokenizer()
     for kind, kind_labels in labels.items():
         cache = tmp_path / f"{kind}.trie"
         assert cache.read_bytes() == build_trie(kind_labels, tokenizer).to_bytes(), kind
         assert ConstraintTrie.load(str(cache)).label_count == len(kind_labels)
-    assert [len(kind_labels) for kind_labels in labels.values()] == [12, 3, 2112]
+    assert [len(kind_labels) for kind_labels in labels.values()] == [12, 3, 2100]
 
 
 @pytest.mark.parametrize("kind", ["entity", "relation", "tail"])
@@ -99,15 +98,19 @@ def test_build_trie_refuses_two_outputs_on_one_path(kb_paths, tmp_path, capsys, 
         outputs["tail"] = repeated = entity
     else:
         outputs["tail"] = repeated = f"{tmp_path}/./a.trie"
-    argv = ["build-trie", *kb_flags(kb_paths)]
+    flags = []
     for kind, path in outputs.items():
-        argv += [f"--out-{kind}", path]
-    assert cli.main(argv) == 1
-    assert stage_error(capsys) == {
-        "stage": "build-trie",
-        "error": f"ValueError: two outputs of the stage would be written to {repeated}",
-    }
-    assert list(tmp_path.iterdir()) == []
+        flags += [f"--out-{kind}", path]
+    # The paths are checked before any input is read: a missing KB file is
+    # not reached.
+    missing_kb = {**kb_paths, "entities": str(tmp_path / "no-such-entities.tsv")}
+    for kb in (kb_paths, missing_kb):
+        assert cli.main(["build-trie", *kb_flags(kb), *flags]) == 1
+        assert stage_error(capsys) == {
+            "stage": "build-trie",
+            "error": f"ValueError: two outputs of the stage would be written to {repeated}",
+        }
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -466,6 +469,39 @@ def test_decode_rejects_nan_from_exec_scorer(trie_caches, tmp_path):
     assert "nan" in error["error"]
 
 
+# Log-prob 0 along the gold token ids in argv[1], comma-separated, and -5
+# for every other candidate.
+GOLD_STUB = (
+    "import json, sys\n"
+    "gold = [int(t) for t in sys.argv[1].split(',')]\n"
+    "for line in sys.stdin:\n"
+    "    request = json.loads(line)\n"
+    "    n = len(request['prefix'])\n"
+    "    want = gold[n] if n < len(gold) and request['prefix'] == gold[:n] else None\n"
+    "    logprobs = [0.0 if c == want else -5.0 for c in request['candidates']]\n"
+    "    sys.stdout.write(json.dumps({'logprobs': logprobs}) + '\\n')\n"
+    "    sys.stdout.flush()\n"
+)
+
+
+def test_decode_generates_a_year_object_from_the_build_trie_caches(trie_caches, tmp_path):
+    # The micro KB's one year fact. The object walks the entity trie and the
+    # year-only tail cache together until the year's end.
+    stub = tmp_path / "gold_stub.py"
+    stub.write_text(GOLD_STUB, encoding="utf-8")
+    tok = ByteTokenizer()
+    target = "<sub>San Francisco<rel>inception<obj>1776<et>"
+    gold = ",".join(map(str, [*tok.encode(target), tok.eos_id]))
+    data = tmp_path / "instances.jsonl"
+    write_jsonl(str(data), [{"id": "y", "input": "San Francisco, founded 1776.", "target": ""}])
+    out = tmp_path / "pred.jsonl"
+    run_cli(
+        "decode", "--input", data, *trie_caches, "--mode", "constrained",
+        "--scorer", f"exec:{sys.executable} {stub} {gold}", "--out", out,
+    )
+    assert read_jsonl(out) == [{"id": "y", "output": target}]
+
+
 def stage_error(capsys) -> dict:
     """The stage JSON line an in-process ``cli.main`` printed last on stderr."""
     return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -755,7 +791,7 @@ PINNED_MANIFESTS = {
         "inputs": KB_INPUTS,
         "outputs": ["<run>/entity.trie", "<run>/relation.trie", "<run>/tail.trie"],
         "seed": None,
-        "record_counts": {"entity_labels": 12, "relation_labels": 3, "tail_labels": 2112},
+        "record_counts": {"entity_labels": 12, "relation_labels": 3, "tail_labels": 2100},
     },
     "extracted.jsonl.manifest.json": {
         "stage": "extract", "config": {"min_words": 10},

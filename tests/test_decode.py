@@ -139,7 +139,7 @@ def test_closing_symbol_before_a_complete_label_is_a_violation(machine, tok):
 
 def test_prefix_invariant_is_enforced():
     # Only the label phases carry a trie node; 0 is the neutral value.
-    label_phases = (Phase.IN_SUBJECT, Phase.IN_RELATION, Phase.IN_OBJECT)
+    label_phases = (Phase.IN_SUBJECT, Phase.IN_RELATION, Phase.IN_OBJECT, Phase.IN_OBJECT_JOINT)
     for phase in Phase:
         assert GenState(phase=phase).node == 0
         if phase in label_phases:
@@ -159,6 +159,121 @@ def test_unconstrained_prefix_allows_everything(machine, tok):
     assert after_marker.phase is Phase.START
     still_free = machine.advance(state, ord("x"))
     assert still_free.phase is Phase.UNCONSTRAINED_PREFIX
+
+
+# -- the joint object walk ------------------------------------------------------
+
+TOK = ByteTokenizer()
+CLOSE_OBJECT = TOK.special_id("<et>")
+YEAR_ENCODINGS = [tuple(TOK.encode(year)) for year in year_labels()]
+# Titles that start with a digit, equal a year, extend a year or are a
+# prefix of many years.
+DIGIT_TITLES = ["1984", "2100", "21000", "12 Monkeys", "1"]
+# The tokens tried at every prefix: digits, the letters the drawn titles
+# use, a space, and EOS and every reserved symbol (the ids after the bytes).
+PROBE_TOKENS = sorted({*TOK.encode("0123456789 MAao"), *range(TOK.eos_id, TOK.vocab_size)})
+
+
+def object_tries(titles, tail_labels):
+    return DecodingTries(
+        entity=build_trie(titles, TOK),
+        relation=build_trie(["r"], TOK),
+        tail=build_trie(tail_labels, TOK),
+    )
+
+
+def object_root(machine, title):
+    """The state after ``<sub>title<rel>r<obj>``."""
+    return walk(machine, [TOK.special_id("<sub>"), *TOK.encode(title), TOK.special_id("<rel>"),
+                          *TOK.encode("r"), TOK.special_id("<obj>")])
+
+
+def brute_force_allowed(prefix, encodings):
+    """The tokens some object label continues ``prefix`` with, plus <et> if
+    ``prefix`` is one."""
+    depth = len(prefix)
+    allowed = {enc[depth] for enc in encodings if len(enc) > depth and enc[:depth] == prefix}
+    if prefix in encodings:
+        allowed.add(CLOSE_OBJECT)
+    return tuple(sorted(allowed))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    titles=st.lists(
+        st.one_of(st.sampled_from(DIGIT_TITLES), st.text("0129 Ma", min_size=1, max_size=5)),
+        min_size=1, max_size=8,
+    ),
+    years=st.lists(st.integers(1, 2100), max_size=6),
+)
+def test_joint_object_walk_equals_the_old_tail_trie(titles, years):
+    # Both machines against a brute-force oracle over titles + years: the
+    # year-only tail of build-trie, and the old tail that also held titles.
+    machines = [
+        GenStateMachine(object_tries(titles, tail), TOK)
+        for tail in (year_labels(), titles + year_labels())
+    ]
+    encodings = {*(tuple(TOK.encode(title)) for title in titles), *YEAR_ENCODINGS}
+    # Every prefix of the titles and of a few years, and every token after it.
+    labels = [*titles, *map(str, years), "21", "210"]
+    prefixes = {tuple(TOK.encode(label))[:cut] for label in labels for cut in range(6)}
+    for prefix in sorted(prefixes):
+        expected = brute_force_allowed(prefix, encodings)
+        if not expected:
+            continue  # off both tries: the walk never reaches it
+        for machine in machines:
+            state = walk(machine, prefix, object_root(machine, titles[0]))
+            assert machine.allowed_tokens(state) == expected, (prefix, titles)
+            for token in PROBE_TOKENS:
+                if token in expected:
+                    after = machine.advance(state, token)
+                    done = token == CLOSE_OBJECT
+                    assert (after.phase is Phase.AFTER_TRIPLE) == done
+                else:
+                    with pytest.raises(ConstraintViolation, match=r"phase in_object"):
+                        machine.advance(state, token)
+
+
+def test_object_root_offers_titles_and_years(tok):
+    machine = GenStateMachine(object_tries(["Mao", "21000"], year_labels()), tok)
+    root = object_root(machine, "Mao")
+    assert root == GenState(Phase.IN_OBJECT_JOINT)
+    assert machine.allowed_tokens(root) == (*tok.encode("123456789"), ord("M"))
+    # A title prefix that no year shares leaves the joint walk.
+    assert machine.advance(root, ord("M")).phase is Phase.IN_OBJECT
+    # "2100" is a year; "21000" a title that extends it, past every year.
+    state = walk(machine, tok.encode("2100"), root)
+    assert state.phase is Phase.IN_OBJECT_JOINT
+    assert machine.allowed_tokens(state) == (ord("0"), CLOSE_OBJECT)
+    title = machine.advance(state, ord("0"))
+    assert title.phase is Phase.IN_OBJECT
+    assert machine.allowed_tokens(title) == (CLOSE_OBJECT,)
+    assert machine.advance(title, CLOSE_OBJECT) == GenState(Phase.AFTER_TRIPLE)
+    # "2101" is not a year: the walk stops at "210" on both sides.
+    with pytest.raises(ConstraintViolation, match="token 49 not allowed in phase in_object_joint"):
+        machine.advance(walk(machine, tok.encode("210"), root), ord("1"))
+
+
+@pytest.mark.parametrize(
+    "gold_object", ["1984", "1", "21000", "12 Monkeys", "Mao", "2100", "12", "Io"]
+)
+def test_old_style_tail_cache_decodes_the_same(tok, oracle_scorer_cls, gold_object):
+    titles = [*DIGIT_TITLES, "Mao", "Io", "Ma"]
+    gold = tuple(
+        tok.encode(f"<sub>Mao<rel>r<obj>{gold_object}<et><sub>1<rel>r<obj>1984<et>")
+        + [tok.eos_id]
+    )
+    results = []
+    for tail in (year_labels(), titles + year_labels()):
+        scorers = (oracle_scorer_cls(gold, floor=-3.0), HashScorer("quantized", sum(gold), 4, True))
+        for scorer in scorers:
+            hyps = beam_search(
+                scorer, tok, mode="constrained", tries=object_tries(titles, tail),
+                beam_size=4, max_len=40, n_best=4,
+            )
+            results.append([(hyp.tokens, hyp.score) for hyp in hyps])
+    assert results[:2] == results[2:]
+    assert results[0][0] == (gold, 0.0)
 
 
 # -- beam search ----------------------------------------------------------------

@@ -117,8 +117,7 @@ SPLIT_PARTS = ("train", "validation", "test")
 
 
 def _output_paths(args: argparse.Namespace) -> list[str]:
-    """Every file the stage writes, its manifest last; none for ``score``
-    without ``--out``.
+    """Every file the stage writes, its manifest last.
 
     The manifest sits beside the first output, or in ``--out-dir`` for
     ``split``. Two paths that name one file are refused, as the later write
@@ -132,11 +131,9 @@ def _output_paths(args: argparse.Namespace) -> list[str]:
         out_dir = Path(args.out_dir)
         outputs = [str(out_dir / f"{name}.jsonl") for name in SPLIT_PARTS]
         manifest = str(out_dir / f"{args.command}.manifest.json")
-    elif args.out:
+    else:
         outputs = [args.out]
         manifest = args.out + ".manifest.json"
-    else:
-        return []
     paths = [*outputs, manifest]
     seen = set()
     for path in paths:
@@ -206,12 +203,9 @@ def _parse_split(text: str) -> tuple[float, float, float]:
         raise ValueError(f"--split needs three comma-separated numbers, got {text!r}")
     if min(parts) < 0:
         raise ValueError(f"--split parts must not be negative, got {text!r}")
-    total = sum(parts)
-    if math.isclose(total, 100.0, abs_tol=1e-6):
-        parts = [p / 100.0 for p in parts]
-    elif not math.isclose(total, 1.0, abs_tol=1e-9):
-        raise ValueError(f"--split must sum to 1 or 100, got {text!r}")
-    return parts[0], parts[1], parts[2]
+    if not math.isclose(sum(parts), 100.0, abs_tol=1e-6):
+        raise ValueError(f"--split must sum to 100, got {text!r}")
+    return parts[0] / 100.0, parts[1] / 100.0, parts[2] / 100.0
 
 
 @contextlib.contextmanager
@@ -447,8 +441,7 @@ def cmd_score(args: argparse.Namespace) -> None:
     gold = load_gold(args.gold)
     report = score_predictions(predictions, gold, kb)
     print(report.format_table())
-    if args.out:
-        _finish_stage(args, [report.to_dict()], {}, {"instances": len(gold)})
+    _finish_stage(args, [report.to_dict()], {}, {"instances": len(gold)})
 
 
 # -- parser ------------------------------------------------------------------
@@ -526,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.add_argument("--gold", required=True)
     _add_kb_flags(p)
-    p.add_argument("--out")
+    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_score)
 
     return parser

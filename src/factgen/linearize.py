@@ -32,7 +32,9 @@ from .tokenizers import (
 )
 
 _BLOCK_TOKENS = (SUB_TOKEN, REL_TOKEN, OBJ_TOKEN, END_TRIPLE_TOKEN)
-_BLOCK_SPLIT_RE = re.compile("(" + "|".join(re.escape(t) for t in _BLOCK_TOKENS) + ")")
+# One field: any run of text that holds none of the four delimiters.
+_FIELD = "((?:(?!" + "|".join(re.escape(t) for t in _BLOCK_TOKENS) + ").)*)"
+_BLOCK_RE = re.compile(_FIELD.join(re.escape(t) for t in _BLOCK_TOKENS), re.DOTALL)
 
 
 class LinearizeError(Exception):
@@ -111,13 +113,6 @@ class RawTriple(_RawTriple):
         return tuple.__new__(cls, (head_label, relation_label, tail_label))
 
 
-def _first_offset(sentence: LinkedSentence, link: str) -> int | None:
-    for span in sentence.spans:
-        if span.link == link:
-            return span.start
-    return None
-
-
 def order_triples(triples: Sequence[Triple], sentence: LinkedSentence) -> list[Triple]:
     """Order triples by appearance in the sentence.
 
@@ -126,17 +121,19 @@ def order_triples(triples: Sequence[Triple], sentence: LinkedSentence) -> list[T
     different relations) are ordered by relation id so the result is a total
     order independent of input permutation.
     """
-    keyed = []
-    for triple in triples:
-        head_off = _first_offset(sentence, triple.head)
+    # Reversed, so that the first span of each link writes its offset last.
+    first = {span.link: span.start for span in reversed(sentence.spans)}
+
+    def key(triple: Triple) -> tuple[int, int, str]:
+        head_off = first.get(triple.head)
         if head_off is None:
             raise LinearizeError(f"head of {triple} has no linked span in sentence")
-        tail_off = _first_offset(sentence, triple.tail)
+        tail_off = first.get(triple.tail)
         if tail_off is None:
             raise LinearizeError(f"tail of {triple} has no linked span in sentence")
-        keyed.append(((head_off, tail_off, triple.relation), triple))
-    keyed.sort(key=lambda item: item[0])
-    return [triple for _, triple in keyed]
+        return head_off, tail_off, triple.relation
+
+    return sorted(triples, key=key)
 
 
 def linearize_labels(triples: Iterable[RawTriple]) -> str:
@@ -174,37 +171,18 @@ def parse_linearized(text: str) -> list[RawTriple]:
     """Parse generated text into label triples; total and lossy by design.
 
     The text is scanned left to right for complete
-    ``<sub> H <rel> R <obj> T <et>`` blocks; fields are whitespace-trimmed.
-    Blocks left incomplete (including a truncated trailing block), blocks
-    with an empty field, and stray text outside blocks are dropped. A
-    delimiter arriving out of order abandons the current partial block
-    (``<sub>`` starts a fresh one). Duplicate triples are preserved.
+    ``<sub> H <rel> R <obj> T <et>`` blocks whose fields hold none of the
+    four delimiters; fields are whitespace-trimmed. Blocks left incomplete
+    (including a truncated trailing block), blocks with an empty field, and
+    stray text outside blocks are dropped. A delimiter arriving out of order
+    abandons the current partial block (``<sub>`` starts a fresh one).
+    Duplicate triples are preserved.
     """
-    triples: list[RawTriple] = []
-    expected = 0  # index into _BLOCK_TOKENS of the next delimiter
-    fields: list[str] = []
-    buffer: list[str] = []
-    for part in _BLOCK_SPLIT_RE.split(text):
-        if part not in _BLOCK_TOKENS:
-            if expected > 0:
-                buffer.append(part)
-            continue
-        if part == _BLOCK_TOKENS[expected]:
-            if expected > 0:
-                fields.append("".join(buffer).strip())
-            buffer = []
-            if part == END_TRIPLE_TOKEN:
-                if all(fields):
-                    triples.append(RawTriple(*fields))
-                fields = []
-                expected = 0
-            else:
-                expected += 1
-        else:
-            # Out-of-order delimiter: drop the partial block.
-            fields = []
-            buffer = []
-            expected = 1 if part == SUB_TOKEN else 0
+    triples = []
+    for match in _BLOCK_RE.finditer(text):
+        fields = [field.strip() for field in match.groups()]
+        if all(fields):
+            triples.append(RawTriple._make(fields))
     return triples
 
 

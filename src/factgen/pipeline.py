@@ -250,26 +250,21 @@ def sample_negatives(
             f"requested {count} negatives but only {total} candidates exist "
             f"(category 1: {len(category_one)}, category 2: {len(category_two)})"
         )
-    want_one = (count + 1) // 2
-    want_two = count // 2
-    if len(category_one) < want_one:
-        shortfall = want_one - len(category_one)
-        logger.warning(
-            "category 1 is short by %d negatives; backfilling from category 2",
-            shortfall,
-        )
-        want_one -= shortfall
-        want_two += shortfall
-    elif len(category_two) < want_two:
-        shortfall = want_two - len(category_two)
-        logger.warning(
-            "category 2 is short by %d negatives; backfilling from category 1",
-            shortfall,
-        )
-        want_two -= shortfall
-        want_one += shortfall
+    pools = (category_one, category_two)
+    wants = [(count + 1) // 2, count // 2]
+    # At most one category is short: the total covers count.
+    for short, other in ((0, 1), (1, 0)):
+        shortfall = wants[short] - len(pools[short])
+        if shortfall > 0:
+            logger.warning(
+                f"category {short + 1} is short by %d negatives; "
+                f"backfilling from category {other + 1}",
+                shortfall,
+            )
+            wants[short] -= shortfall
+            wants[other] += shortfall
     rng = random.Random(seed)
-    return rng.sample(category_one, want_one) + rng.sample(category_two, want_two)
+    return rng.sample(category_one, wants[0]) + rng.sample(category_two, wants[1])
 
 
 def split_dataset(

@@ -2,8 +2,9 @@
 
 Usage: ``python bad_stub_scorer.py VARIANT [GOOD]``. Each variant answers
 like the stub but puts one bad value in its responses: the ``entail`` value
-of every ``nli`` response, or the first log-prob of every ``lm`` response.
-With ``GOOD``, the first ``GOOD`` responses are left as they are.
+of every ``nli`` response, the whole of every ``nli`` response, or the first
+log-prob of every ``lm`` response. With ``GOOD``, the first ``GOOD``
+responses are left as they are.
 """
 
 import json
@@ -17,6 +18,8 @@ VARIANTS = {
     "nli-negative": ("entail", -1),
     "nli-string": ("entail", "0.5"),
     "nli-null": ("entail", None),
+    "nli-list": ("response", [0.5]),
+    "nli-no-entail": ("response", {"score": 0.5}),
     "lm-null": ("logprobs", None),
     "lm-string": ("logprobs", "-1.0"),
     "lm-bool": ("logprobs", False),
@@ -34,6 +37,8 @@ def main() -> None:
             good -= 1
         elif key == "entail" and "entail" in response:
             response["entail"] = bad
+        elif key == "response" and "entail" in response:
+            response = bad
         elif key == "logprobs" and response.get("logprobs"):
             response["logprobs"][0] = bad
         sys.stdout.write(json.dumps(response) + "\n")

@@ -219,6 +219,18 @@ def test_score_prints_hand_fixture_numbers(kb_paths, tmp_path):
     assert report["counts"] == {"tp": 3, "fp": 2, "fn": 1, "n_pos": 2, "n_neg": 2}
 
 
+def test_score_without_out_exits_2_and_writes_nothing(kb_paths, tmp_path, capsys):
+    # score always writes its report: --out is required, like every stage's output.
+    data = tmp_path / "empty.jsonl"
+    data.write_text("")
+    argv = ["score", "--pred", str(data), "--gold", str(data), *kb_flags(kb_paths)]
+    with pytest.raises(SystemExit) as raised:
+        cli.main(argv)
+    assert raised.value.code == 2
+    assert "the following arguments are required: --out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [data]
+
+
 def test_split_is_byte_identical_across_reruns(tmp_path):
     data = tmp_path / "data.jsonl"
     data.write_text("".join(json.dumps({"id": str(i)}) + "\n" for i in range(40)))
@@ -515,12 +527,13 @@ def stage_error(capsys) -> dict:
         ("filter", ["--threshold", "5"], "--threshold must lie in [0, 1], got 5.0"),
         ("negatives", ["--neg-fraction", "1"], "--neg-fraction must lie in [0, 1), got 1.0"),
         ("split", ["--split=-10,60,50"], "--split parts must not be negative, got '-10,60,50'"),
+        ("split", ["--split", "0.9,0.05,0.05"], "--split must sum to 100, got '0.9,0.05,0.05'"),
         ("decode", ["--beam", "0"], "--beam must be >= 1, got 0"),
         ("decode", ["--beam", "-3"], "--beam must be >= 1, got -3"),
         ("decode", ["--max-len", "0"], "--max-len must be >= 1, got 0"),
     ],
-    ids=["threshold-nan", "threshold-5", "neg-fraction-1", "split-negative", "beam-0",
-         "beam-minus-3", "max-len-0"],
+    ids=["threshold-nan", "threshold-5", "neg-fraction-1", "split-negative", "split-sums-to-1",
+         "beam-0", "beam-minus-3", "max-len-0"],
 )
 def test_bad_bound_fails_before_input_is_read(
     kb_paths, trie_caches, tmp_path, capsys, stage, flags, message, input_exists

@@ -534,6 +534,8 @@ def test_beam_validates_arguments(tok, tries):
     scorer = NgramScorer([[tok.eos_id]], tok.vocab_size, tok.eos_id)
     with pytest.raises(ValueError):
         beam_search(scorer, tok, beam_size=0, tries=tries)
+    with pytest.raises(ValueError, match="^max_len must be >= 1$"):
+        beam_search(scorer, tok, max_len=0, tries=tries)
     with pytest.raises(ValueError):
         beam_search(scorer, tok, mode="nonsense", tries=tries)
     with pytest.raises(ValueError):

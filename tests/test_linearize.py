@@ -94,6 +94,51 @@ def test_ordering_invariant_under_permutation():
 def test_triple_without_span_is_an_error(uk_sentence):
     with pytest.raises(LinearizeError, match="Q999"):
         order_triples([Triple("Q999", "P36", "Q84")], uk_sentence)
+    # The head is checked before the tail, and the triples in input order.
+    no_tail = Triple("Q145", "P36", "Q998")
+    with pytest.raises(LinearizeError, match=r"^tail of .*'Q998'.* has no linked span"):
+        order_triples([no_tail, Triple("Q999", "P36", "Q998")], uk_sentence)
+    with pytest.raises(LinearizeError, match=r"^head of .*'Q999'.* has no linked span"):
+        order_triples([Triple("Q999", "P36", "Q998"), no_tail], uk_sentence)
+
+
+SPAN_LINKS = ["Q1", "Q2", "Q3", "1990", None]
+
+
+@st.composite
+def sentences_and_triples(draw):
+    links = draw(st.lists(st.sampled_from(SPAN_LINKS), max_size=6))
+    sentence = LinkedSentence(
+        text="".join(f"m{i} " for i in range(len(links))),
+        spans=tuple(
+            MentionSpan(3 * i, 3 * i + 2, f"m{i}", link) for i, link in enumerate(links)
+        ),
+    )
+    value = st.sampled_from(SPAN_LINKS[:-1])
+    triple = st.builds(Triple, value, st.sampled_from(["P1", "P2"]), value)
+    return sentence, draw(st.lists(triple, max_size=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sentences_and_triples())
+def test_order_triples_matches_a_minimum_offset_oracle(case):
+    sentence, triples = case
+
+    def offset(link):
+        return min((s.start for s in sentence.spans if s.link == link), default=None)
+
+    expected = None
+    for triple in triples:  # the first triple lacking a span names its head, then its tail
+        for role, link in (("head", triple.head), ("tail", triple.tail)):
+            if expected is None and offset(link) is None:
+                expected = f"{role} of {triple} has no linked span in sentence"
+    if expected is not None:
+        with pytest.raises(LinearizeError) as raised:
+            order_triples(triples, sentence)
+        assert str(raised.value) == expected
+        return
+    expected_order = sorted(triples, key=lambda t: (offset(t.head), offset(t.tail), t.relation))
+    assert order_triples(triples, sentence) == expected_order
 
 
 # -- linearize / parse ---------------------------------------------------------
@@ -186,6 +231,60 @@ def test_parse_is_total_on_arbitrary_text(text):
         assert raw.head_label and raw.relation_label and raw.tail_label
 
 
+DELIMITERS = ("<sub>", "<rel>", "<obj>", "<et>")
+
+
+def parse_oracle(text: str) -> list[RawTriple]:
+    """Every ``<sub>`` whose next three delimiters are ``<rel>``, ``<obj>``
+    and ``<et>`` opens a block; its fields are the text between them."""
+    found = []  # (offset, delimiter) of every delimiter in the text
+    for delimiter in DELIMITERS:
+        at = text.find(delimiter)
+        while at != -1:
+            found.append((at, delimiter))
+            at = text.find(delimiter, at + 1)
+    found.sort()
+    triples = []
+    for i in range(len(found) - 3):
+        window = found[i : i + 4]
+        if tuple(delimiter for _, delimiter in window) != DELIMITERS:
+            continue
+        fields = [
+            text[at + len(delimiter) : end].strip()
+            for (at, delimiter), (end, _) in zip(window, window[1:])
+        ]
+        if all(fields):
+            triples.append(RawTriple(*fields))
+    return triples
+
+
+FILLER = st.lists(
+    st.sampled_from(["<", ">", "<su", "b>", "<et", " ", "\t", "\n", "A", "b c", "é", "日本", "#"])
+    | st.text(max_size=3),
+    max_size=4,
+).map("".join)
+
+
+@st.composite
+def linearized_texts(draw) -> str:
+    """Blocks of the four delimiters between fillers; about one delimiter
+    in ten is dropped or replaced by another."""
+    parts = []
+    for _ in range(draw(st.integers(0, 4))):
+        for delimiter in DELIMITERS:
+            parts.append(draw(FILLER))
+            if not draw(st.integers(0, 9)):
+                delimiter = draw(st.sampled_from(("", *DELIMITERS)))
+            parts.append(delimiter)
+    return "".join(parts) + draw(FILLER)
+
+
+@settings(max_examples=500, deadline=None)
+@given(linearized_texts())
+def test_parse_matches_a_delimiter_window_oracle(text):
+    assert parse_linearized(text) == parse_oracle(text)
+
+
 # -- auxiliary targets ---------------------------------------------------------
 
 
@@ -226,6 +325,13 @@ def test_entity_prompt_has_one_marker_pair(small_kb, uk_sentence):
     assert text.count("[ENTITY]") == 1
     assert text.count("[TRIPLE]") == 1
     assert text.index("[ENTITY]") < text.index("[TRIPLE]")
+
+
+def test_chain_span_link_that_resolves_to_nothing_is_an_error(small_kb):
+    sentence = make_sentence_with_offsets(["Q145", "Q404"])
+    ordered = [Triple("Q145", "P36", "Q404")]
+    with pytest.raises(LinearizeError, match="^cannot resolve span link 'Q404'$"):
+        entity_linking_chain(sentence, ordered, small_kb)
 
 
 def test_year_span_appears_in_chain(small_kb):

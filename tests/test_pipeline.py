@@ -384,6 +384,14 @@ def test_templates_load_jsonl(tmp_path, small_kb, capital_sentence, monkeypatch)
     assert rendered == ["London is the capital of United Kingdom."]
 
 
+@pytest.mark.parametrize("triple", [Triple("Q404", "P36", "Q84"), Triple("Q145", "P36", "9999")])
+def test_rendering_an_unresolvable_value_is_a_template_error(small_kb, triple):
+    unknown = triple.head if triple.head == "Q404" else triple.tail
+    message = f"^cannot resolve {unknown!r} for hypothesis rendering$"
+    with pytest.raises(TemplateError, match=message):
+        HypothesisTemplates({}).hypotheses_for(triple, small_kb)
+
+
 # -- negative sampling ---------------------------------------------------------------
 
 
@@ -439,19 +447,34 @@ def test_positive_sentences_are_never_sampled(small_kb):
 
 
 def test_backfill_from_other_category(small_kb, caplog):
-    corpus = build_negative_corpus(small_kb, 2, 10, 0)
-    with caplog.at_level("WARNING"):
-        picked = sample_negatives(corpus, 8, seed=3)
-    categories = [negative_category(s, []) for s in picked]
-    assert categories.count(1) == 2
-    assert categories.count(2) == 6
-    assert any("backfill" in record.message for record in caplog.records)
+    # Either category may be short: (category sizes, category-1 picks, shortfall).
+    for n_one, n_two, picked_one, shortfall in [(2, 10, 2, 2), (10, 1, 7, 3)]:
+        corpus = build_negative_corpus(small_kb, n_one, n_two, 0)
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            picked = sample_negatives(corpus, 8, seed=3)
+        categories = [negative_category(s, []) for s in picked]
+        assert categories.count(1) == picked_one
+        assert categories.count(2) == 8 - picked_one
+        short, other = (1, 2) if n_one < n_two else (2, 1)
+        (record,) = caplog.records
+        assert record.getMessage() == (
+            f"category {short} is short by {shortfall} negatives; "
+            f"backfilling from category {other}"
+        )
+        assert record.args[0] == shortfall
 
 
 def test_shortfall_is_an_error(small_kb):
     corpus = build_negative_corpus(small_kb, 2, 2, 0)
     with pytest.raises(SamplingError, match="4 candidates"):
         sample_negatives(corpus, 5, seed=0)
+
+
+def test_negative_count_is_an_error(small_kb):
+    corpus = build_negative_corpus(small_kb, 2, 2, 0)
+    with pytest.raises(ValueError, match="^count must be >= 0$"):
+        sample_negatives(corpus, -1, seed=0)
 
 
 def test_post_filter_counts_override_ds_extraction(small_kb):
@@ -479,8 +502,11 @@ def test_single_instance_goes_to_train():
 
 
 def test_split_rejects_bad_ratios():
-    with pytest.raises(SplitError):
+    with pytest.raises(SplitError, match="^ratios must sum to 1"):
         split_dataset([1, 2, 3], ratios=(0.5, 0.3, 0.3))
+    for ratios in ((0.5, 0.5), (1.2, -0.1, -0.1)):
+        with pytest.raises(SplitError, match="^need three nonnegative ratios"):
+            split_dataset([1, 2, 3], ratios=ratios)
 
 
 @settings(max_examples=40, deadline=None)

@@ -110,6 +110,15 @@ def test_bad_json_line_reports_position(tmp_path):
         load_input_sentences(str(path))
 
 
+def test_blank_lines_are_skipped_but_counted(tmp_path):
+    path = tmp_path / "blank.jsonl"
+    path.write_text('{"id": "a"}\n\n \t\n[1]\n')
+    rows = read_jsonl(str(path))
+    assert next(rows) == (1, {"id": "a"})
+    with pytest.raises(RecordError, match=r"blank\.jsonl:4: record is not an object$"):
+        next(rows)
+
+
 def test_predictions_loader(tmp_path):
     path = tmp_path / "preds.jsonl"
     path.write_text(
@@ -161,13 +170,14 @@ def _load_instances(path: str) -> list[tuple[str, str]]:
         (load_dataset, _triple(tail=["Q2"]), "tail must be str, got ['Q2']"),
         (load_predictions, {"id": "p", "output": None}, "output must be str, got None"),
         (load_predictions, {"id": "p", "output": 5}, "output must be str, got 5"),
+        (load_predictions, {"id": "p"}, "record lacks 'output'"),
         (_load_instances, {"id": "i", "target": 5}, "target must be str, got 5"),
         (_load_instances, {"id": "i", "target_ie": None}, "target_ie must be str, got None"),
     ],
     ids=[
         "text", "start", "end", "surface", "link", "offsets", "span", "dataset-text",
         "dataset-start", "dataset-surface", "dataset-link", "dataset-head", "dataset-pid",
-        "dataset-tail", "output-null", "output-int", "instance-target", "instance-target-ie",
+        "dataset-tail", "output-null", "output-int", "output-missing", "instance-target", "instance-target-ie",
     ],
 )
 def test_wrong_typed_field_is_a_record_error_with_its_line(tmp_path, loader, row, message):

@@ -578,6 +578,22 @@ def test_protocol_error_on_bad_entail_value(variant):
             client.nli_entail_batch([("premise", "hypothesis")])
 
 
+@pytest.mark.parametrize(
+    "variant, message",
+    [
+        ("nli-list", "scorer response is not an object: '[0.5]\\n'"),
+        ("nli-no-entail", "response lacks 'entail': {'score': 0.5}"),
+    ],
+    ids=["list", "no-entail"],
+)
+def test_protocol_error_on_a_misshapen_nli_response(variant, message):
+    spec = f"exec:{sys.executable} {BAD_STUB} {variant}"
+    with ExternalScorerClient.from_spec(spec) as client:
+        with pytest.raises(ScorerProtocolError) as raised:
+            client.nli_entail_batch([("premise", "hypothesis")])
+    assert str(raised.value) == message
+
+
 @pytest.mark.parametrize("variant", ["lm-null", "lm-string", "lm-bool"])
 def test_protocol_error_on_non_numeric_logprob(variant):
     spec = f"exec:{sys.executable} {BAD_STUB} {variant}"

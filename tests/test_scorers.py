@@ -449,35 +449,7 @@ def test_close_bounds_the_reap_of_a_child_that_ends_its_stream_and_runs_on(monke
     assert client._sock.fileno() == -1
 
 
-@pytest.fixture(params=["pidfd", "no-pidfd-open", "pidfd-open-fails"])
-def close_wait(request, monkeypatch) -> tuple[bool, list[int]]:
-    """Each way close can wait for an exec: child: on a pidfd, and on
-    Popen.wait where os.pidfd_open is missing or raises OSError. Returns
-    whether the wait is on a pidfd, and the pids a pidfd was opened for."""
-    opened: list[int] = []
-    if request.param == "pidfd":
-        if sys.platform != "linux":
-            pytest.skip("pidfds are Linux-only")
-        real = os.pidfd_open
-
-        def recording_pidfd_open(pid, *flags):
-            fd = real(pid, *flags)
-            opened.append(pid)
-            return fd
-
-        monkeypatch.setattr(os, "pidfd_open", recording_pidfd_open)
-    elif request.param == "no-pidfd-open":
-        monkeypatch.delattr(os, "pidfd_open", raising=False)
-    else:
-
-        def failing_pidfd_open(pid, *flags):
-            raise OSError(38, "Function not implemented")
-
-        monkeypatch.setattr(os, "pidfd_open", failing_pidfd_open, raising=False)
-    return request.param == "pidfd", opened
-
-
-def test_close_reaps_a_child_that_exits_on_each_wait(close_wait):
+def test_close_reaps_a_child_that_exits_on_each_wait():
     client = ExternalScorerClient.from_spec(f"exec:{sys.executable} {STUB}")
     assert client.lm_logprobs([], [4]) == [stub_lm_logprob(4)]
     began = time.monotonic()
@@ -485,11 +457,9 @@ def test_close_reaps_a_child_that_exits_on_each_wait(close_wait):
     assert time.monotonic() - began < 2
     assert client._proc.returncode == 0
     assert client._sock.fileno() == -1
-    on_pidfd, opened = close_wait
-    assert opened == ([client._proc.pid] if on_pidfd else [])
 
 
-def test_close_kills_a_child_that_outlives_its_input_on_each_wait(monkeypatch, close_wait):
+def test_close_kills_a_child_that_outlives_its_input_on_each_wait(monkeypatch):
     monkeypatch.setattr(scorers, "CHILD_EXIT_TIMEOUT", 0.2)
     client = ExternalScorerClient.from_spec("exec:sleep 30")
     began = time.monotonic()
@@ -499,8 +469,6 @@ def test_close_kills_a_child_that_outlives_its_input_on_each_wait(monkeypatch, c
     assert str(caught.value) == "scorer 'sleep 30' still ran 0.2 s after its input ended; killed it"
     assert client._proc.returncode == -signal.SIGKILL
     assert client._sock.fileno() == -1
-    on_pidfd, opened = close_wait
-    assert opened == ([client._proc.pid] if on_pidfd else [])
 
 
 def test_failed_spawn_closes_both_socket_ends(monkeypatch, tmp_path):

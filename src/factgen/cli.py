@@ -53,6 +53,7 @@ from .linearize import (
 from .pipeline import (
     DEFAULT_ENTAIL_THRESHOLD,
     MIN_SENTENCE_WORDS,
+    SPLIT_SUM_TOLERANCE,
     HypothesisTemplates,
     entailment_filter,
     extract_ds_triples,
@@ -203,9 +204,10 @@ def _parse_split(text: str) -> tuple[float, float, float]:
         raise ValueError(f"--split needs three comma-separated numbers, got {text!r}")
     if min(parts) < 0:
         raise ValueError(f"--split parts must not be negative, got {text!r}")
-    if not math.isclose(sum(parts), 100.0, abs_tol=1e-6):
+    ratios = parts[0] / 100.0, parts[1] / 100.0, parts[2] / 100.0
+    if not math.isclose(sum(ratios), 1.0, abs_tol=SPLIT_SUM_TOLERANCE):
         raise ValueError(f"--split must sum to 100, got {text!r}")
-    return parts[0] / 100.0, parts[1] / 100.0, parts[2] / 100.0
+    return ratios
 
 
 @contextlib.contextmanager

@@ -265,6 +265,26 @@ def _located(source: str | None, lineno: int, problem: str) -> str:
     return problem if source is None else f"{source}:{lineno}: {problem}"
 
 
+# A byte that is not UTF-8, as errors="surrogateescape" decodes it.
+_ESCAPED_BYTE_RE = re.compile("[\udc80-\udcff]")
+
+
+def non_utf8_line(path: str) -> int:
+    """The number of the first line of ``path`` that is not UTF-8 text,
+    counting lines as text-mode reading does.
+
+    Text-mode reading decodes ahead in chunks, so its ``UnicodeDecodeError``
+    does not tell which line held the byte: a reader calls this on that
+    error alone, and it reads the file again.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        return next(
+            lineno
+            for lineno, line in enumerate(handle, start=1)
+            if _ESCAPED_BYTE_RE.search(line)
+        )
+
+
 def _read_tsv(path: str, n_fields: int) -> Iterator[tuple[int, list[str]]]:
     """``(line number, fields)`` of each non-blank line, in one pass.
 
@@ -272,16 +292,19 @@ def _read_tsv(path: str, n_fields: int) -> Iterator[tuple[int, list[str]]]:
     before the line is split.
     """
     with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if line.isspace():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != n_fields:
-                raise KbLoadError(
-                    f"{path}:{lineno}: expected {n_fields} tab-separated fields, "
-                    f"got {len(fields)}"
-                )
-            yield lineno, fields
+        try:
+            for lineno, line in enumerate(handle, start=1):
+                if line.isspace():
+                    continue
+                fields = line.rstrip("\n").split("\t")
+                if len(fields) != n_fields:
+                    raise KbLoadError(
+                        f"{path}:{lineno}: expected {n_fields} tab-separated fields, "
+                        f"got {len(fields)}"
+                    )
+                yield lineno, fields
+        except UnicodeDecodeError:
+            raise KbLoadError(f"{path}:{non_utf8_line(path)}: not UTF-8 text") from None
 
 
 def load_kb(

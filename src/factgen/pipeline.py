@@ -32,6 +32,8 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_ENTAIL_THRESHOLD = 0.7
 DEFAULT_SPLIT = (0.90, 0.05, 0.05)
+# How far the split ratios may sum from 1, for rounding in their parsing.
+SPLIT_SUM_TOLERANCE = 1e-9
 MIN_SENTENCE_WORDS = 10
 # The (name, format spec, conversion) of each field a template must hold.
 _FIELDS = {("head", "", None), ("tail", "", None)}
@@ -279,7 +281,7 @@ def split_dataset(
     """
     if len(ratios) != 3 or any(r < 0 for r in ratios):
         raise SplitError(f"need three nonnegative ratios, got {ratios}")
-    if not math.isclose(sum(ratios), 1.0, abs_tol=1e-9):
+    if not math.isclose(sum(ratios), 1.0, abs_tol=SPLIT_SUM_TOLERANCE):
         raise SplitError(f"ratios must sum to 1, got {ratios}")
     n = len(instances)
     n_val = math.floor(n * ratios[1])

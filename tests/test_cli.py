@@ -528,12 +528,14 @@ def stage_error(capsys) -> dict:
         ("negatives", ["--neg-fraction", "1"], "--neg-fraction must lie in [0, 1), got 1.0"),
         ("split", ["--split=-10,60,50"], "--split parts must not be negative, got '-10,60,50'"),
         ("split", ["--split", "0.9,0.05,0.05"], "--split must sum to 100, got '0.9,0.05,0.05'"),
+        ("split", ["--split", "90.0000001,5,5"],
+         "--split must sum to 100, got '90.0000001,5,5'"),
         ("decode", ["--beam", "0"], "--beam must be >= 1, got 0"),
         ("decode", ["--beam", "-3"], "--beam must be >= 1, got -3"),
         ("decode", ["--max-len", "0"], "--max-len must be >= 1, got 0"),
     ],
     ids=["threshold-nan", "threshold-5", "neg-fraction-1", "split-negative", "split-sums-to-1",
-         "beam-0", "beam-minus-3", "max-len-0"],
+         "split-sums-past-100", "beam-0", "beam-minus-3", "max-len-0"],
 )
 def test_bad_bound_fails_before_input_is_read(
     kb_paths, trie_caches, tmp_path, capsys, stage, flags, message, input_exists
@@ -617,6 +619,35 @@ def test_repeated_input_id_is_rejected(kb_paths, trie_caches, tmp_path, capsys, 
         "error": f"RecordError: {data}:3: duplicate id 's1'",
     }
     assert not out.exists()
+
+
+@pytest.mark.parametrize("stage", ["split", "build-trie"])
+def test_a_non_utf8_byte_names_its_file_and_line(kb_paths, tmp_path, capsys, stage):
+    # Line 300 starts past the first 8 KiB, which text-mode reading decodes
+    # before it yields line 1.
+    if stage == "split":
+        bad = tmp_path / "data.jsonl"
+        lines = [json.dumps({"id": str(i), "text": "x" * 40}) for i in range(400)]
+        error = "RecordError"
+        argv = ["split", "--input", str(bad), "--out-dir", str(tmp_path / "splits")]
+    else:
+        bad = tmp_path / "entities.tsv"
+        lines = [f"Q{i}\tTitle number {i:05} of the fixture" for i in range(1, 401)]
+        error = "KbLoadError"
+        paths = dict(kb_paths, entities=str(bad))
+        argv = ["build-trie", *kb_flags(paths), *(
+            flag for kind in ("entity", "relation", "tail")
+            for flag in (f"--out-{kind}", str(tmp_path / f"{kind}.trie"))
+        )]
+    data = "\n".join(lines).encode("utf-8") + b"\n"
+    offset = data.index(lines[299].encode("utf-8"))
+    assert offset > 8192
+    bad.write_bytes(data[:offset + 5] + b"\xff" + data[offset + 5:])
+    assert cli.main(argv) == 1
+    assert stage_error(capsys) == {
+        "stage": stage,
+        "error": f"{error}: {bad}:300: not UTF-8 text",
+    }
 
 
 def test_decode_rejects_a_trie_cache_that_holds_eos(tmp_path, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -138,3 +139,32 @@ def test_a_comma_list_runs_the_named_workloads_only(checkouts, capsys):
     assert result["workloads"] == ["wide", "slow"]
     assert sorted(result["metrics"]) == ["slow/m", "wide/m"]
 
+
+
+@pytest.mark.parametrize(
+    "stdout, code, clean",
+    [
+        ('{"correct": true, "failed": 0}\n', 0, True),
+        ('{"correct": false, "failed": 0}\n', 0, False),
+        ('{"correct": true, "failed": 2}\n', 0, False),
+        ('{"correct": true, "failed": 0}\n', 1, False),
+        ("", 1, False),
+    ],
+    ids=["clean", "incorrect", "failed", "exit-1", "no-result-line"],
+)
+def test_a_run_that_is_not_clean_prints_its_stderr(monkeypatch, capsys, stdout, code, clean):
+    stderr = "".join(f"log line {i}\n" for i in range(500)) + "FAILED: s7: wrong triples\n"
+
+    def fake_run(argv, **kwargs):
+        return subprocess.CompletedProcess(argv, code, stdout, stderr)
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    result = bench_pairs.run_bench(Path("change"), "dataset", 301, 1.0)
+    assert result["exit_code"] == code
+    printed = capsys.readouterr().err
+    if clean:
+        assert printed == ""
+    else:
+        assert printed.startswith("change dataset seed 301: ")
+        assert printed.endswith(stderr[-2000:] + "\n")
+        assert "FAILED: s7: wrong triples" in printed

@@ -69,10 +69,20 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
         result = {"correct": False, "failed": None, "metrics": {}}
-        print(f"{checkout} seed {seed}: no result line; stderr: {proc.stderr[-2000:]}",
-              file=sys.stderr)
     result["exit_code"] = proc.returncode
+    if not is_clean(result):
+        print(f"{checkout} {workload} seed {seed}: correct={result.get('correct')} "
+              f"failed={result.get('failed')} exit={proc.returncode}; stderr: "
+              f"{proc.stderr[-2000:]}", file=sys.stderr)
     return result
+
+
+def is_clean(result: dict) -> bool:
+    """Whether a run was correct, failed no operation and exited 0."""
+    return (
+        result.get("correct") is True and result.get("failed") == 0
+        and result["exit_code"] == 0
+    )
 
 
 def iqr_share(values: list[float]) -> float:
@@ -173,7 +183,7 @@ def main(argv: list[str] | None = None) -> int:
     sides = {"parent": args.parent, "change": args.change}
     runs = run_pairs(sides, workloads, args.seeds, args.seconds)
     all_correct = all(
-        run.get("correct") is True and run.get("failed") == 0 and run["exit_code"] == 0
+        is_clean(run)
         for workload_runs in runs.values()
         for side_runs in workload_runs.values()
         for run in side_runs

@@ -32,7 +32,7 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_ENTAIL_THRESHOLD = 0.7
 DEFAULT_SPLIT = (0.90, 0.05, 0.05)
-# How far the split ratios may sum from 1, for rounding in their parsing.
+# How far split ratios may sum from 1: room for the rounding of percentages / 100.
 SPLIT_SUM_TOLERANCE = 1e-9
 MIN_SENTENCE_WORDS = 10
 # The (name, format spec, conversion) of each field a template must hold.

@@ -621,25 +621,20 @@ def test_repeated_input_id_is_rejected(kb_paths, trie_caches, tmp_path, capsys, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("stage", ["split", "build-trie"])
+@pytest.mark.parametrize("stage", ["split", "build-kb"])
 def test_a_non_utf8_byte_names_its_file_and_line(kb_paths, tmp_path, capsys, stage):
-    # Line 300 starts past the first 8 KiB, which text-mode reading decodes
-    # before it yields line 1.
+    # Line 300 starts past the first 8 KiB: text-mode reading meets its byte
+    # in a later chunk, whose offsets name no line.
     if stage == "split":
-        bad = tmp_path / "data.jsonl"
+        bad, error, end = tmp_path / "data.jsonl", "RecordError", "\n"
         lines = [json.dumps({"id": str(i), "text": "x" * 40}) for i in range(400)]
-        error = "RecordError"
         argv = ["split", "--input", str(bad), "--out-dir", str(tmp_path / "splits")]
-    else:
-        bad = tmp_path / "entities.tsv"
+    else:  # lines end in CR alone, which text-mode reading counts as line ends
+        bad, error, end = tmp_path / "entities.tsv", "KbLoadError", "\r"
         lines = [f"Q{i}\tTitle number {i:05} of the fixture" for i in range(1, 401)]
-        error = "KbLoadError"
-        paths = dict(kb_paths, entities=str(bad))
-        argv = ["build-trie", *kb_flags(paths), *(
-            flag for kind in ("entity", "relation", "tail")
-            for flag in (f"--out-{kind}", str(tmp_path / f"{kind}.trie"))
-        )]
-    data = "\n".join(lines).encode("utf-8") + b"\n"
+        argv = ["build-kb", *kb_flags(dict(kb_paths, entities=str(bad))),
+                "--out", str(tmp_path / "stats.json")]
+    data = end.join([*lines, ""]).encode("utf-8")
     offset = data.index(lines[299].encode("utf-8"))
     assert offset > 8192
     bad.write_bytes(data[:offset + 5] + b"\xff" + data[offset + 5:])

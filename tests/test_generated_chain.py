@@ -30,7 +30,6 @@ KB = ["--kb-entities", "entities.tsv", "--kb-relations", "relations.tsv",
       "--kb-triples", "triples.tsv"]
 TRIES = ["--entity-trie", "entity.trie", "--relation-trie", "relation.trie",
          "--tail-trie", "tail.trie"]
-TARGET_MODES = ("standard", "entity-prompt", "artificial-prompt", "dual-head")
 
 CHAIN = [
     ["build-trie", *KB, "--out-entity", "entity.trie", "--out-relation", "relation.trie",
@@ -43,7 +42,7 @@ CHAIN = [
     ["split", "--input", "dataset.jsonl", "--split", "80,10,10", "--seed", "7",
      "--out-dir", "splits"],
     *(["targets", "--input", "dataset.jsonl", *KB, "--mode", mode, "--out", f"{mode}.jsonl"]
-      for mode in TARGET_MODES),
+      for mode in cli.TARGET_MODES),
     *(["decode", "--input", "splits/test.jsonl", *TRIES, "--mode", mode, "--scorer", SCORER,
        "--out", f"{mode}.pred.jsonl"]
       for mode in ("constrained", "partial")),
@@ -54,7 +53,7 @@ CHAIN = [
 ]
 
 # SHA-256 of every file the generator and the chain write. Under the stub's
-# scores every search ends at its first step, so the three prediction files
+# scores every search returns the empty output, so the three prediction files
 # are alike; their manifests pin the requests and candidates each mode scored.
 PINNED_DIGESTS = {
     "artificial-prompt.jsonl": "12fe15a38d877bc1c8fed3430f293188abf3e79b815324fc7595929be78e18ca",

@@ -9,7 +9,9 @@ each workload and end-to-end metric, each side's per-seed values, median
 and quartiles, each side's IQR as a share of its median, the pairs the
 change won (a tie counts for neither side) and a verdict; the lists of the
 ``regressed`` and ``unresolved`` pairs; and whether every run was correct
-with 0 failed.
+with 0 failed. Each run that is not clean (not correct, failed > 0, a
+non-zero exit or no result line) prints the tail of its stderr, where
+``bench/run.py`` writes its ``FAILED`` lines.
 
 The verdict applies these rules, in this order:
 

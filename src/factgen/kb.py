@@ -11,7 +11,8 @@ tuple. A caller that only resolves ids and labels (``filter``, ``targets``,
 holds the four maps alone, and a pair question raises :class:`KbError`
 rather than answer empty. ``negatives``, ``split`` and ``decode`` load no
 KB at all: ``decode`` reads its tries from the caches ``build-trie``
-writes.
+writes. Every line of a KB TSV or JSONL file comes from :func:`read_lines`,
+which names a line that is not UTF-8 text in file order.
 
 A triple's tail value is an entity qid or a year literal, kept as a raw
 string because dates carry no entity id of their own. The year literals,
@@ -27,7 +28,7 @@ itself. Titles and relation labels survive the linearized language
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .tokenizers import SPECIAL_TOKENS
 
@@ -269,42 +270,45 @@ def _located(source: str | None, lineno: int, problem: str) -> str:
 _ESCAPED_BYTE_RE = re.compile("[\udc80-\udcff]")
 
 
-def non_utf8_line(path: str) -> int:
-    """The number of the first line of ``path`` that is not UTF-8 text,
-    counting lines as text-mode reading does.
+def read_lines(path: str, error: Callable[[str], Exception]) -> Iterator[tuple[int, str]]:
+    """``(line number, line)`` of each non-blank line of a UTF-8 text file,
+    read with universal newlines; the first line that is not UTF-8 text
+    raises ``error("path:line: not UTF-8 text")`` instead.
 
     Text-mode reading decodes ahead in chunks, so its ``UnicodeDecodeError``
-    does not tell which line held the byte: a reader calls this on that
-    error alone, and it reads the file again.
+    names no line and comes before the earlier lines of its chunk are
+    yielded. On that error alone the file is read again, with its bad bytes
+    escaped, and the lines after the last one read are yielded up to the
+    first that holds such a byte: a caller meets an earlier bad line first.
     """
+    read = 0
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for read, line in enumerate(handle, start=1):
+                if not line.isspace():
+                    yield read, line
+        return
+    except UnicodeDecodeError:
+        pass
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-        return next(
-            lineno
-            for lineno, line in enumerate(handle, start=1)
-            if _ESCAPED_BYTE_RE.search(line)
-        )
+        for lineno, line in enumerate(handle, start=1):
+            if lineno <= read or line.isspace():
+                continue
+            if _ESCAPED_BYTE_RE.search(line):
+                raise error(f"{path}:{lineno}: not UTF-8 text")
+            yield lineno, line
 
 
 def _read_tsv(path: str, n_fields: int) -> Iterator[tuple[int, list[str]]]:
-    """``(line number, fields)`` of each non-blank line, in one pass.
-
-    The file is read with universal newlines, so a CRLF ending is gone
-    before the line is split.
-    """
-    with open(path, encoding="utf-8") as handle:
-        try:
-            for lineno, line in enumerate(handle, start=1):
-                if line.isspace():
-                    continue
-                fields = line.rstrip("\n").split("\t")
-                if len(fields) != n_fields:
-                    raise KbLoadError(
-                        f"{path}:{lineno}: expected {n_fields} tab-separated fields, "
-                        f"got {len(fields)}"
-                    )
-                yield lineno, fields
-        except UnicodeDecodeError:
-            raise KbLoadError(f"{path}:{non_utf8_line(path)}: not UTF-8 text") from None
+    """``(line number, fields)`` of each line :func:`read_lines` yields."""
+    for lineno, line in read_lines(path, KbLoadError):
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) != n_fields:
+            raise KbLoadError(
+                f"{path}:{lineno}: expected {n_fields} tab-separated fields, "
+                f"got {len(fields)}"
+            )
+        yield lineno, fields
 
 
 def load_kb(

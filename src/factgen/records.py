@@ -20,7 +20,7 @@ import re
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .kb import Triple, is_year_literal, non_utf8_line
+from .kb import Triple, is_year_literal, read_lines
 from .linearize import LinkedSentence, MentionSpan
 
 _MONTHS = (
@@ -44,20 +44,14 @@ class RecordError(Exception):
 
 
 def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
-    with open(path, encoding="utf-8") as handle:
+    for lineno, line in read_lines(path, RecordError):
         try:
-            for lineno, line in enumerate(handle, start=1):
-                if line.isspace():
-                    continue
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise RecordError(f"{path}:{lineno}: bad JSON: {exc}") from None
-                if not isinstance(row, dict):
-                    raise RecordError(f"{path}:{lineno}: record is not an object")
-                yield lineno, row
-        except UnicodeDecodeError:
-            raise RecordError(f"{path}:{non_utf8_line(path)}: not UTF-8 text") from None
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise RecordError(f"{path}:{lineno}: bad JSON: {exc}") from None
+        if not isinstance(row, dict):
+            raise RecordError(f"{path}:{lineno}: record is not an object")
+        yield lineno, row
 
 
 # json.dumps with these options builds a new encoder on every call. Rows

@@ -621,27 +621,38 @@ def test_repeated_input_id_is_rejected(kb_paths, trie_caches, tmp_path, capsys, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("stage", ["split", "build-kb"])
-def test_a_non_utf8_byte_names_its_file_and_line(kb_paths, tmp_path, capsys, stage):
+@pytest.mark.parametrize(
+    "stage, earlier",
+    [("split", False), ("build-kb", False), ("split", True), ("build-kb", True)],
+    ids=["split", "build-kb", "split-bad-json-first", "build-kb-bad-fields-first"],
+)
+def test_a_non_utf8_byte_names_its_file_and_line(kb_paths, tmp_path, capsys, stage, earlier):
     # Line 300 starts past the first 8 KiB: text-mode reading meets its byte
-    # in a later chunk, whose offsets name no line.
+    # in a later chunk, whose offsets name no line. With ``earlier``, line
+    # 299 of the same chunk is bad too, and it is the one named.
     if stage == "split":
         bad, error, end = tmp_path / "data.jsonl", "RecordError", "\n"
         lines = [json.dumps({"id": str(i), "text": "x" * 40}) for i in range(400)]
         argv = ["split", "--input", str(bad), "--out-dir", str(tmp_path / "splits")]
+        broken, problem = "{bad json", "bad JSON: Expecting property name enclosed in " \
+            "double quotes: line 1 column 2 (char 1)"
     else:  # lines end in CR alone, which text-mode reading counts as line ends
         bad, error, end = tmp_path / "entities.tsv", "KbLoadError", "\r"
         lines = [f"Q{i}\tTitle number {i:05} of the fixture" for i in range(1, 401)]
         argv = ["build-kb", *kb_flags(dict(kb_paths, entities=str(bad))),
                 "--out", str(tmp_path / "stats.json")]
+        broken, problem = "Q299 without its title", "expected 2 tab-separated fields, got 1"
+    if earlier:
+        lines[298] = broken
     data = end.join([*lines, ""]).encode("utf-8")
     offset = data.index(lines[299].encode("utf-8"))
-    assert offset > 8192
+    assert data.index(lines[298].encode("utf-8")) // 8192 == offset // 8192 > 0
     bad.write_bytes(data[:offset + 5] + b"\xff" + data[offset + 5:])
     assert cli.main(argv) == 1
     assert stage_error(capsys) == {
         "stage": stage,
-        "error": f"{error}: {bad}:300: not UTF-8 text",
+        "error": f"{error}: {bad}:299: {problem}" if earlier
+        else f"{error}: {bad}:300: not UTF-8 text",
     }
 
 

@@ -43,6 +43,10 @@ class RecordError(Exception):
     """Malformed record; message carries file path and line number."""
 
 
+# A UTF-16 surrogate, which a lone \u escape decodes to.
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+
+
 def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
     for lineno, line in read_lines(path, RecordError):
         try:
@@ -51,6 +55,10 @@ def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
             raise RecordError(f"{path}:{lineno}: bad JSON: {exc}") from None
         if not isinstance(row, dict):
             raise RecordError(f"{path}:{lineno}: record is not an object")
+        # The line is UTF-8 text, so a surrogate can only come from a \u
+        # escape: a lone one, which no UTF-8 output can hold.
+        if "\\u" in line and _SURROGATE_RE.search(_ROW_ENCODER.encode(row)):
+            raise RecordError(f"{path}:{lineno}: not UTF-8 text")
         yield lineno, row
 
 

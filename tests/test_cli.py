@@ -622,14 +622,17 @@ def test_repeated_input_id_is_rejected(kb_paths, trie_caches, tmp_path, capsys, 
 
 
 @pytest.mark.parametrize(
-    "stage, earlier",
-    [("split", False), ("build-kb", False), ("split", True), ("build-kb", True)],
-    ids=["split", "build-kb", "split-bad-json-first", "build-kb-bad-fields-first"],
+    "stage, case",
+    [("split", "byte"), ("build-kb", "byte"), ("split", "earlier"), ("build-kb", "earlier"),
+     ("split", "surrogate")],
+    ids=["split", "build-kb", "split-bad-json-first", "build-kb-bad-fields-first",
+         "split-lone-surrogate"],
 )
-def test_a_non_utf8_byte_names_its_file_and_line(kb_paths, tmp_path, capsys, stage, earlier):
+def test_a_non_utf8_byte_names_its_file_and_line(kb_paths, tmp_path, capsys, stage, case):
     # Line 300 starts past the first 8 KiB: text-mode reading meets its byte
-    # in a later chunk, whose offsets name no line. With ``earlier``, line
-    # 299 of the same chunk is bad too, and it is the one named.
+    # in a later chunk, whose offsets name no line. In case "earlier", line
+    # 299 of the same chunk is bad too, and it is the one named. In case
+    # "surrogate", line 300 holds a lone \u escape instead of the byte.
     if stage == "split":
         bad, error, end = tmp_path / "data.jsonl", "RecordError", "\n"
         lines = [json.dumps({"id": str(i), "text": "x" * 40}) for i in range(400)]
@@ -642,16 +645,20 @@ def test_a_non_utf8_byte_names_its_file_and_line(kb_paths, tmp_path, capsys, sta
         argv = ["build-kb", *kb_flags(dict(kb_paths, entities=str(bad))),
                 "--out", str(tmp_path / "stats.json")]
         broken, problem = "Q299 without its title", "expected 2 tab-separated fields, got 1"
-    if earlier:
+    if case == "earlier":
         lines[298] = broken
+    elif case == "surrogate":
+        lines[299] = json.dumps({"id": "299", "text": "bad \ud800 here"})
     data = end.join([*lines, ""]).encode("utf-8")
     offset = data.index(lines[299].encode("utf-8"))
     assert data.index(lines[298].encode("utf-8")) // 8192 == offset // 8192 > 0
-    bad.write_bytes(data[:offset + 5] + b"\xff" + data[offset + 5:])
+    if case != "surrogate":
+        data = data[:offset + 5] + b"\xff" + data[offset + 5:]
+    bad.write_bytes(data)
     assert cli.main(argv) == 1
     assert stage_error(capsys) == {
         "stage": stage,
-        "error": f"{error}: {bad}:299: {problem}" if earlier
+        "error": f"{error}: {bad}:299: {problem}" if case == "earlier"
         else f"{error}: {bad}:300: not UTF-8 text",
     }
 

@@ -112,9 +112,9 @@ def test_bad_json_line_reports_position(tmp_path):
 
 def test_blank_lines_are_skipped_but_counted(tmp_path):
     path = tmp_path / "blank.jsonl"
-    path.write_text('{"id": "a"}\n\n \t\n[1]\n')
+    path.write_text('{"id": "a \\ud83d\\ude00"}\n\n \t\n[1]\n')
     rows = read_jsonl(str(path))
-    assert next(rows) == (1, {"id": "a"})
+    assert next(rows) == (1, {"id": "a \U0001f600"})  # an escaped pair is its emoji
     with pytest.raises(RecordError, match=r"blank\.jsonl:4: record is not an object$"):
         next(rows)
 

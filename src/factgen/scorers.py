@@ -96,15 +96,11 @@ class TableNliScorer:
         return [self.table.get(pair, self.default) for pair in pairs]
 
 
-def _is_number(value: object) -> bool:
-    """A JSON number: int or float (NaN and infinities included), not bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _parse_response(line: bytes) -> dict:
-    """One response line, its newline included."""
+    """One response line, its newline included. Every JSON number in it
+    reads as a float: an integer past the float range as an infinity."""
     try:
-        response = json.loads(line.decode("utf-8"))
+        response = json.loads(line.decode("utf-8"), parse_int=float)
     except ValueError as exc:  # not UTF-8, or not JSON
         text = line.decode("utf-8", "replace")
         raise ScorerProtocolError(f"bad scorer response line: {text!r}") from exc
@@ -118,11 +114,11 @@ def _entail_value(response: dict) -> float:
     if "entail" not in response:
         raise ScorerProtocolError(f"response lacks 'entail': {response!r}")
     value = response["entail"]
-    if not (_is_number(value) and 0.0 <= value <= 1.0):
+    if not (type(value) is float and 0.0 <= value <= 1.0):
         raise ScorerProtocolError(
             f"nli response 'entail' must be a number in [0, 1], got {value!r}"
         )
-    return float(value)
+    return value
 
 
 class ExternalScorerClient:
@@ -233,9 +229,9 @@ class ExternalScorerClient:
             )
         for value in logprobs:
             # NaN and positive values are beam_search's to reject (DecodeError).
-            if not _is_number(value):
+            if type(value) is not float:
                 raise ScorerProtocolError(f"lm response log-prob {value!r} is not a number")
-        return [float(v) for v in logprobs]
+        return logprobs
 
     def nli_entail_batch(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
         """Entailment probability per ``(premise, hypothesis)`` pair, in order:

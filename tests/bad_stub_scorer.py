@@ -23,6 +23,8 @@ VARIANTS = {
     "lm-null": ("logprobs", None),
     "lm-string": ("logprobs", "-1.0"),
     "lm-bool": ("logprobs", False),
+    "lm-huge-negative": ("logprobs", -(10**400)),  # an int past the float range
+    "lm-huge-positive": ("logprobs", 10**400),
 }
 
 

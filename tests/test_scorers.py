@@ -570,6 +570,16 @@ def test_protocol_error_on_non_numeric_logprob(variant):
             client.lm_logprobs([], [1, 2])
 
 
+@pytest.mark.parametrize(
+    "variant, value", [("lm-huge-negative", -math.inf), ("lm-huge-positive", math.inf)]
+)
+def test_an_integer_logprob_past_the_float_range_reads_as_infinite(variant, value):
+    # Not a protocol error: beam_search takes -inf and rejects inf (DecodeError).
+    spec = f"exec:{sys.executable} {BAD_STUB} {variant}"
+    with ExternalScorerClient.from_spec(spec) as client:
+        assert client.lm_logprobs([], [1, 2]) == [value, stub_lm_logprob(2)]
+
+
 def test_entail_bounds_are_inclusive(tmp_path):
     edges = tmp_path / "edge_scorer.py"
     edges.write_text(

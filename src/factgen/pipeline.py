@@ -86,7 +86,7 @@ class HypothesisTemplates:
     Templates contain ``{head}`` and ``{tail}`` and no other field (``{{``
     and ``}}`` are literal braces). Relations without a custom template
     fall back to "<head label> <relation label> <tail label>."; a relation
-    missing from the KB is an error.
+    missing from the KB is an error, with a custom template or without.
     """
 
     def __init__(self, by_pid: dict[str, list[str]]) -> None:
@@ -153,12 +153,12 @@ class HypothesisTemplates:
     def hypotheses_for(self, triple: Triple, kb: KbStore) -> list[str]:
         head = self._label(kb, triple.head)
         tail = self._label(kb, triple.tail)
-        custom = self.by_pid.get(triple.relation)
-        if custom:
-            return [t.format(head=head, tail=tail) for t in custom]
         relation = kb.relation_label(triple.relation)
         if relation is None:
             raise TemplateError(f"unknown relation {triple.relation!r}")
+        custom = self.by_pid.get(triple.relation)
+        if custom:
+            return [t.format(head=head, tail=tail) for t in custom]
         return [f"{head} {relation} {tail}."]
 
 

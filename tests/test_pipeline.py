@@ -384,12 +384,19 @@ def test_templates_load_jsonl(tmp_path, small_kb, capital_sentence, monkeypatch)
     assert rendered == ["London is the capital of United Kingdom."]
 
 
-@pytest.mark.parametrize("triple", [Triple("Q404", "P36", "Q84"), Triple("Q145", "P36", "9999")])
+@pytest.mark.parametrize(
+    "triple",
+    [Triple("Q404", "P36", "Q84"), Triple("Q145", "P36", "9999"), Triple("Q145", "P9", "Q84")],
+)
 def test_rendering_an_unresolvable_value_is_a_template_error(small_kb, triple):
-    unknown = triple.head if triple.head == "Q404" else triple.tail
-    message = f"^cannot resolve {unknown!r} for hypothesis rendering$"
-    with pytest.raises(TemplateError, match=message):
-        HypothesisTemplates({}).hypotheses_for(triple, small_kb)
+    if triple.relation == "P9":  # no KB relation, and a template does not stand in for one
+        message = "^unknown relation 'P9'$"
+    else:
+        unknown = triple.head if triple.head == "Q404" else triple.tail
+        message = f"^cannot resolve {unknown!r} for hypothesis rendering$"
+    for by_pid in ({}, {triple.relation: ["{head} x {tail}."]}):
+        with pytest.raises(TemplateError, match=message):
+            HypothesisTemplates(by_pid).hypotheses_for(triple, small_kb)
 
 
 # -- negative sampling ---------------------------------------------------------------

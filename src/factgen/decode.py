@@ -74,15 +74,7 @@ class Phase(enum.IntEnum):
     IN_OBJECT_JOINT = 7
 
 
-_TRIE_PHASES = (Phase.IN_SUBJECT, Phase.IN_RELATION, Phase.IN_OBJECT, Phase.IN_OBJECT_JOINT)
-
-
-class _GenState(NamedTuple):
-    phase: Phase = Phase.START
-    node: int = 0
-
-
-class GenState(_GenState):
+class GenState(NamedTuple):
     """Decoder position: the phase, and inside a label the trie node reached.
 
     ``node`` is a node number of the phase's trie (0, the root, on entering
@@ -94,12 +86,8 @@ class GenState(_GenState):
     ``node`` is always 0.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, phase: Phase = Phase.START, node: int = 0):
-        if node and phase not in _TRIE_PHASES:
-            raise ValueError(f"phase Phase.{phase.name} cannot carry a trie node")
-        return tuple.__new__(cls, (phase, node))
+    phase: Phase = Phase.START
+    node: int = 0
 
 
 # The state of every finished hypothesis.

@@ -137,19 +137,6 @@ def test_closing_symbol_before_a_complete_label_is_a_violation(machine, tok):
         machine.advance(state, tok.special_id("<rel>"))
 
 
-def test_prefix_invariant_is_enforced():
-    # Only the label phases carry a trie node; 0 is the neutral value.
-    label_phases = (Phase.IN_SUBJECT, Phase.IN_RELATION, Phase.IN_OBJECT, Phase.IN_OBJECT_JOINT)
-    for phase in Phase:
-        assert GenState(phase=phase).node == 0
-        if phase in label_phases:
-            assert GenState(phase=phase, node=5).node == 5
-        else:
-            message = f"^phase Phase.{phase.name} cannot carry a trie node$"
-            with pytest.raises(ValueError, match=message):
-                GenState(phase=phase, node=5)
-
-
 def test_unconstrained_prefix_allows_everything(machine, tok):
     state = GenState(phase=Phase.UNCONSTRAINED_PREFIX)
     allowed = machine.allowed_tokens(state)

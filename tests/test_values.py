@@ -108,11 +108,9 @@ def test_templates_keep_their_repr():
         (lambda: LinkedSentence(text="ab", spans=(MentionSpan(0, 2, "AB"),)),
          "span surface 'AB' does not match text slice 'ab'"),
         (lambda: RawTriple("a", "", "c"), "RawTriple fields must be non-empty"),
-        (lambda: GenState(Phase.START, 2), "phase Phase.START cannot carry a trie node"),
-        (lambda: GenState(phase=Phase.DONE, node=1), "phase Phase.DONE cannot carry a trie node"),
     ],
     ids=["span-negative", "span-empty", "span-keywords", "sentence-order", "sentence-outside",
-         "sentence-surface", "raw-empty", "state-start", "state-keywords"],
+         "sentence-surface", "raw-empty"],
 )
 def test_validation_messages_are_unchanged(build, message):
     with pytest.raises(ValueError) as caught:
